@@ -1,10 +1,10 @@
 """Krylov, Chebyshev, and dense-factorization kernels.
 
-The sparse matrix type is CSR (scipy); `spmv` is the one sanctioned product
-entry point. FGMRES is flexible and right-preconditioned: the preconditioner
-may change between iterations (multigrid cycles with Chebyshev-damped
-relaxation are nonstationary), and the true residual is recomputed at every
-restart boundary before a new cycle starts.
+The sparse matrix type is CSR (scipy). FGMRES is flexible and
+right-preconditioned: the preconditioner may change between iterations
+(multigrid cycles with Chebyshev-damped relaxation are nonstationary), and
+the true residual is recomputed at every restart boundary before a new cycle
+starts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "SingularMatrixError",
     "DenseFactorization",
     "KrylovReport",
-    "spmv",
     "dense_lu",
     "fgmres",
     "estimate_lambda_max",
@@ -32,13 +31,6 @@ POWER_ITERATION_SEED = 0x5EED
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """A pivot collapsed during factorization."""
-
-
-def spmv(M, x):
-    """Sparse matrix-vector product."""
-    if M.shape[1] != len(x):
-        raise ValueError(f"shape mismatch: {M.shape} @ {len(x)}")
-    return M @ x
 
 
 class DenseFactorization:
@@ -86,7 +78,6 @@ class KrylovReport:
     converged: bool
     final_residual: float
     precond_times: list = field(default_factory=list)
-    timing: object = None
 
 
 def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
@@ -96,7 +87,9 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
     `project`, when given, removes a known operator nullspace component from
     the initial residual and every preconditioned direction (used for the
     constant-pressure mode of enclosed flows). Non-convergence is reported,
-    not raised.
+    not raised. A non-finite residual estimate (a preconditioner or operator
+    that produced NaN or inf) ends the solve at once, unconverged, with the
+    last finite iterate.
     """
     b = np.asarray(b, dtype=np.float64)
     n = len(b)
@@ -114,8 +107,9 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
     iterations = 0
     converged = beta0 <= tol
     final_residual = beta0
+    nonfinite = False
 
-    while not converged and iterations < maxiter:
+    while not converged and not nonfinite and iterations < maxiter:
         beta = float(np.linalg.norm(r))
         if beta <= tol:
             converged = True
@@ -161,6 +155,10 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
             iterations += 1
             estimate = abs(g[j + 1])
             history.append(estimate)
+            # A non-finite H[j+1, j] reaches the estimate through sn[j].
+            if not np.isfinite(estimate):
+                nonfinite = True
+                break
             if estimate <= tol or breakdown or j + 1 == restart \
                     or iterations >= maxiter:
                 y = scipy.linalg.solve_triangular(

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .reference import LOCAL_EDGES
+
 __all__ = [
     "Mesh",
     "EntitySet",
@@ -186,15 +188,11 @@ def _signed_areas(vertices, cells):
     )
 
 
-# Local edges of a cell (v0, v1, v2), as index pairs into the cell tuple.
-_LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
-
-
 def _derive_edges(cells):
     """Deduplicated edge table in lexicographic (sorted-pair) order."""
     pairs = set()
     for tri in cells:
-        for i, j in _LOCAL_EDGES:
+        for i, j in LOCAL_EDGES:
             a, b = int(tri[i]), int(tri[j])
             pairs.add((min(a, b), max(a, b)))
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
@@ -203,7 +201,7 @@ def _derive_edges(cells):
     cell_edges = np.empty((len(cells), 3), dtype=np.int64)
     edge_cells = [[] for _ in range(len(edges))]
     for t, tri in enumerate(cells):
-        for le, (i, j) in enumerate(_LOCAL_EDGES):
+        for le, (i, j) in enumerate(LOCAL_EDGES):
             a, b = int(tri[i]), int(tri[j])
             e = lookup[(min(a, b), max(a, b))]
             cell_edges[t, le] = e

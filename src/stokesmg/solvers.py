@@ -1,14 +1,21 @@
 """Multigrid and full-block-factorization preconditioners for Stokes.
 
-Monolithic hierarchies coarsen the coupled velocity-pressure system either
-in mesh size only (hMG) or first in polynomial degree on the finest mesh and
-then in mesh size at degree 2 (phMG; "direct" drops straight to degree 2,
-"gradual" steps through an intermediate degree). Relaxation on every level
-is Chebyshev-accelerated additive Schwarz over vertex patches; the coarsest
-level is solved by dense LU. The FBF preconditioner instead applies a block
-LDU factorization of the saddle system, approximating the velocity-block
-inverse by a velocity-only multigrid V-cycle and the Schur complement by
-the pressure mass matrix.
+Every hierarchy comes from one builder, `build_hierarchy(problem,
+refinements, cycle, monolithic)`, fed by one level plan, `level_specs`.
+The `cycle` names the coarsening: "hmg" coarsens in mesh size only at the
+problem's degree; "phmg-direct" and "phmg-gradual" first lower the degree
+on the finest mesh (straight to 2, or through one intermediate degree) and
+then coarsen in mesh size at degree 2. A monolithic hierarchy carries the
+full Taylor-Hood/Scott-Vogelius saddle system on every level; a
+velocity-only one carries the velocity Laplacian alone. Relaxation on every
+level is Chebyshev-accelerated additive Schwarz over vertex patches; the
+coarsest level is solved by dense LU.
+
+The monolithic hierarchies precondition the saddle system directly. The
+FBF preconditioner instead applies a block LDU factorization of the saddle
+system, approximating the velocity-block inverse by one V-cycle of a
+velocity-only hierarchy and the Schur complement by the pressure mass
+matrix.
 
 All hierarchy operators are rediscretized (not Galerkin products); the two
 agree on interior rows here because the bilinear forms carry no
@@ -23,6 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (
     SCOTT_VOGELIUS,
+    TAYLOR_HOOD,
     assemble_pressure_mass,
     assemble_stokes,
     assemble_vector_laplacian,
@@ -56,9 +64,8 @@ __all__ = [
     "FBFPreconditioner",
     "p_coarsening_schedule",
     "mesh_hierarchy",
-    "build_hmg",
-    "build_phmg",
-    "build_velocity_hierarchy",
+    "level_specs",
+    "build_hierarchy",
     "build_fbf",
     "build_solver",
     "vcycle",
@@ -73,7 +80,8 @@ DEFAULT_CYCLE_PARAMS = (1, 2, 2)  # (n_V, nu_p, nu_h)
 H_LEVEL = "h"
 P_LEVEL = "p"
 
-SOLVER_NAMES = ("hmg", "phmg-direct", "phmg-gradual", "fbf-hmg", "fbf-phmg")
+HIERARCHY_CYCLES = ("hmg", "phmg-direct", "phmg-gradual")
+SOLVER_NAMES = HIERARCHY_CYCLES + ("fbf-hmg", "fbf-phmg")
 
 
 def p_coarsening_schedule(k, mode):
@@ -220,11 +228,51 @@ class _LevelSpec:
     kind: str
 
 
+def level_specs(problem, refinements, cycle, monolithic):
+    """Plan of a hierarchy's levels, finest first, as `_LevelSpec`s.
+
+    "hmg" keeps the problem's discretization on every mesh of the nested
+    chain. The phMG cycles lower the degree on the finest mesh following
+    `p_coarsening_schedule` down to Taylor-Hood degree 2 (a monolithic
+    Scott-Vogelius top level steps to the equal-or-lower-degree Taylor-Hood
+    pair on the same mesh), then descend the pre-barycentric meshes at
+    degree 2. A degree-2 start has no p-section, so it becomes a plain
+    h-cycle. Velocity-only levels (`monolithic=False`) carry no family.
+
+    Monolithic hMG rejects Scott-Vogelius: its barycentric meshes are not
+    nested under quadrisection, so no monolithic h-hierarchy exists for it.
+    """
+    if cycle not in HIERARCHY_CYCLES:
+        raise ValueError(
+            f"unknown cycle {cycle!r}; pick from {HIERARCHY_CYCLES}"
+        )
+    scott_vogelius = monolithic and problem.family == SCOTT_VOGELIUS
+    if cycle == "hmg" and scott_vogelius:
+        raise ValueError(
+            "monolithic hMG needs a nested mesh hierarchy at a fixed "
+            "discretization; Scott-Vogelius has none (use phMG or FBF)"
+        )
+    chain = mesh_hierarchy(problem, refinements)
+
+    def spec(family, k, mesh, kind):
+        return _LevelSpec(family if monolithic else None, k, mesh, kind)
+
+    if cycle == "hmg":
+        return [spec(problem.family, problem.k, m, H_LEVEL)
+                for m in reversed(chain)]
+    mode = cycle[len("phmg-"):]
+    top = [(TAYLOR_HOOD, d) for d in p_coarsening_schedule(problem.k, mode)]
+    if scott_vogelius:
+        top = [(SCOTT_VOGELIUS, problem.k)] + (top[1:] or top)
+    kind = P_LEVEL if len(top) > 1 else H_LEVEL
+    return ([spec(f, d, chain[-1], kind) for f, d in top]
+            + [spec(TAYLOR_HOOD, 2, m, H_LEVEL) for m in chain[-2::-1]])
+
+
 def _patch_coverage_ok(patches, n, dirichlet_dofs):
     covered = np.zeros(n, dtype=bool)
-    for idx in patches.indices:
-        covered[idx] = True
-    covered[np.asarray(dirichlet_dofs, dtype=np.int64)] = True
+    covered[np.concatenate([np.asarray(dirichlet_dofs, dtype=np.int64),
+                            *patches.indices])] = True
     return bool(covered.all())
 
 
@@ -290,7 +338,26 @@ def _connect_levels(levels):
                                    lower.dirichlet_dofs)
 
 
-def _finish_hierarchy(problem, levels, monolithic, n_V, nu_p, nu_h):
+def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
+                    nu_p=None, nu_h=None):
+    """Multigrid hierarchy for the saddle system or its velocity block.
+
+    `cycle` is "hmg", "phmg-direct" or "phmg-gradual" (see `level_specs`).
+    A monolithic hierarchy preconditions the full saddle system; with
+    `monolithic=False` it covers the velocity Laplacian alone, relaxed over
+    vertex-star patches (no closure ring, no pressure), as used inside FBF.
+    The h-portion runs `n_V` times per outer cycle; `nu_p`/`nu_h` are the
+    sweep counts on p- and h-levels (defaults in `DEFAULT_CYCLE_PARAMS`).
+    """
+    dv, dp, dh = DEFAULT_CYCLE_PARAMS
+    n_V = dv if n_V is None else n_V
+    nu_p = dp if nu_p is None else nu_p
+    nu_h = dh if nu_h is None else nu_h
+    specs = level_specs(problem, refinements, cycle, monolithic)
+    levels = [
+        _build_level(problem, spec, i == len(specs) - 1, nu_p, nu_h)
+        for i, spec in enumerate(specs)
+    ]
     _connect_levels(levels)
     coarsest = levels[-1]
     if coarsest.n > COARSE_DOF_CAP:
@@ -308,104 +375,6 @@ def _finish_hierarchy(problem, levels, monolithic, n_V, nu_p, nu_h):
         K_dense[pinned, pinned] = 1.0
     coarse = dense_lu(K_dense)
     return MGHierarchy(levels, coarse, pinned, n_V, nu_p, nu_h)
-
-
-def _build(problem, specs, monolithic, n_V, nu_p, nu_h):
-    levels = [
-        _build_level(problem, spec, i == len(specs) - 1, nu_p, nu_h)
-        for i, spec in enumerate(specs)
-    ]
-    return _finish_hierarchy(problem, levels, monolithic, n_V, nu_p, nu_h)
-
-
-def build_hmg(problem, refinements, n_V=None, nu_p=None, nu_h=None):
-    """Monolithic h-coarsened hierarchy at the problem's family/degree.
-
-    One level per mesh in the nested chain, all at the same discretization,
-    operators rediscretized per level. Scott-Vogelius is rejected: its
-    barycentric meshes are not nested under quadrisection, so no monolithic
-    h-hierarchy exists for it.
-    """
-    n_V, nu_p, nu_h = _cycle_params(n_V, nu_p, nu_h)
-    if problem.family == SCOTT_VOGELIUS:
-        raise ValueError(
-            "monolithic hMG needs a nested mesh hierarchy at a fixed "
-            "discretization; Scott-Vogelius has none (use phMG or FBF)"
-        )
-    chain = mesh_hierarchy(problem, refinements)
-    specs = [
-        _LevelSpec(problem.family, problem.k, m, H_LEVEL)
-        for m in reversed(chain)
-    ]
-    return _build(problem, specs, True, n_V, nu_p, nu_h)
-
-
-def build_phmg(problem, refinements, mode, n_V=None, nu_p=None, nu_h=None):
-    """Monolithic p-then-h hierarchy.
-
-    Degree is lowered on the finest mesh following `p_coarsening_schedule`
-    (a Scott-Vogelius top level steps to the equal-or-lower-degree
-    Taylor-Hood pair on the same mesh), ending at Taylor-Hood degree 2;
-    below that, mesh coarsening continues at degree 2. The h-portion runs
-    `n_V` times per outer cycle.
-    """
-    n_V, nu_p, nu_h = _cycle_params(n_V, nu_p, nu_h)
-    family, k = problem.family, problem.k
-    schedule = p_coarsening_schedule(k, mode)
-    chain = mesh_hierarchy(problem, refinements)
-    finest = chain[-1]
-
-    if family == SCOTT_VOGELIUS:
-        th_degrees = schedule[1:] if len(schedule) > 1 else [2]
-        p_specs = [_LevelSpec(family, k, finest, P_LEVEL)]
-        p_specs += [
-            _LevelSpec("th", d, finest, P_LEVEL) for d in th_degrees
-        ]
-        h_meshes = chain[-2::-1]  # every pre-barycentric mesh, finest first
-    else:
-        p_specs = [_LevelSpec("th", d, finest, P_LEVEL) for d in schedule]
-        h_meshes = chain[-2::-1]
-    if len(p_specs) == 1:
-        # Degree 2 Taylor-Hood has no p-section; the hierarchy is plain hMG.
-        p_specs = [_LevelSpec("th", 2, finest, H_LEVEL)]
-    h_specs = [_LevelSpec("th", 2, m, H_LEVEL) for m in h_meshes]
-    return _build(problem, p_specs + h_specs, True, n_V, nu_p, nu_h)
-
-
-def build_velocity_hierarchy(problem, refinements, cycle="phmg-direct",
-                             n_V=None, nu_p=None, nu_h=None):
-    """Multigrid hierarchy for the velocity Laplacian block alone.
-
-    Used inside the FBF preconditioner; relaxation is additive Schwarz over
-    vertex-star patches (no closure ring, no pressure). For Scott-Vogelius
-    problems only the finest level lives on the barycentric mesh; coarser
-    levels use the nested pre-barycentric meshes.
-    """
-    n_V, nu_p, nu_h = _cycle_params(n_V, nu_p, nu_h)
-    if cycle not in ("hmg", "phmg-direct", "phmg-gradual"):
-        raise ValueError(f"unknown velocity cycle {cycle!r}")
-    k = problem.k
-    chain = mesh_hierarchy(problem, refinements)
-    if cycle == "hmg":
-        specs = [_LevelSpec(None, k, m, H_LEVEL) for m in reversed(chain)]
-    else:
-        schedule = p_coarsening_schedule(k, cycle.split("-")[1])
-        finest = chain[-1]
-        if len(schedule) == 1:
-            p_specs = [_LevelSpec(None, 2, finest, H_LEVEL)]
-        else:
-            p_specs = [_LevelSpec(None, d, finest, P_LEVEL)
-                       for d in schedule]
-        h_specs = [_LevelSpec(None, 2, m, H_LEVEL) for m in chain[-2::-1]]
-        specs = p_specs + h_specs
-    return _build(problem, specs, False, n_V, nu_p, nu_h)
-
-
-def _cycle_params(n_V, nu_p, nu_h):
-    dv, dp, dh = DEFAULT_CYCLE_PARAMS
-    return (dv if n_V is None else n_V,
-            dp if nu_p is None else nu_p,
-            dh if nu_h is None else nu_h)
 
 
 # -- V-cycle ----------------------------------------------------------------
@@ -466,17 +435,14 @@ def _cycle(hierarchy, l, b, x, timer):
 
 # -- full-block factorization ------------------------------------------------
 
-FBF_APPLY_COST = {"Ainv": 2, "Sinv": 1, "B": 1, "BT": 1}
-
-
 class FBFPreconditioner:
     """Block LDU preconditioner for the saddle system.
 
     `apply_Ainv(r, timer)` approximates the velocity-block inverse (one
     V-cycle of the inner hierarchy); `schur_solve` inverts the pressure
     mass matrix exactly. `B`/`BT` are the eliminated off-diagonal blocks of
-    the outer operator. `apply_counts` accumulates how many times each
-    piece has run, so the per-apply cost is observable.
+    the outer operator. Like `MGHierarchy`, a built preconditioner is only
+    read by `fbf_apply`, so one instance can serve many concurrent solves.
     """
 
     def __init__(self, apply_Ainv, schur_solve, B, BT, n_u, n_p,
@@ -493,16 +459,10 @@ class FBFPreconditioner:
         self.n_u = n_u
         self.n_p = n_p
         self.inner = inner
-        self.apply_counts = {key: 0 for key in FBF_APPLY_COST}
 
     @property
     def n(self):
         return self.n_u + self.n_p
-
-    @staticmethod
-    def application_cost():
-        """Operator applications per preconditioner apply."""
-        return dict(FBF_APPLY_COST)
 
 
 def _blockwise_mass_solver(pressure_space, M):
@@ -582,16 +542,11 @@ def fbf_apply(pc, r, timer=None):
     r_u, r_p = r[: pc.n_u], r[pc.n_u:]
 
     t = pc.apply_Ainv(r_u, timer)
-    pc.apply_counts["Ainv"] += 1
     with timer.scope("schur"):
         w = r_p - pc.B @ t
-        pc.apply_counts["B"] += 1
         s = pc.schur_solve(w)
-        pc.apply_counts["Sinv"] += 1
         g = pc.BT @ s
-        pc.apply_counts["BT"] += 1
     z_u = t - pc.apply_Ainv(g, timer)
-    pc.apply_counts["Ainv"] += 1
     return np.concatenate([z_u, s])
 
 
@@ -602,23 +557,21 @@ def build_solver(problem, refinements, solver, n_V=None, nu_p=None,
     """(finest SaddleSystem, preconditioner) for a named solver config.
 
     `solver` is one of hmg, phmg-direct, phmg-gradual, fbf-hmg, fbf-phmg.
-    The FBF variants pair a velocity-only hierarchy (h-coarsened, or
-    p-then-h with the direct schedule) with the pressure-mass Schur
-    approximation.
+    The monolithic solvers are `build_hierarchy` with the solver name as
+    its cycle. The FBF variants pair a velocity-only hierarchy
+    (h-coarsened, or p-then-h with the direct schedule) with the
+    pressure-mass Schur approximation; the outer saddle system is assembled
+    on the velocity hierarchy's finest mesh.
     """
-    if solver == "hmg":
-        h = build_hmg(problem, refinements, n_V, nu_p, nu_h)
-        return h.levels[0].system, h
-    if solver in ("phmg-direct", "phmg-gradual"):
-        mode = solver.split("-")[1]
-        h = build_phmg(problem, refinements, mode, n_V, nu_p, nu_h)
+    if solver in HIERARCHY_CYCLES:
+        h = build_hierarchy(problem, refinements, solver, n_V=n_V, nu_p=nu_p,
+                            nu_h=nu_h)
         return h.levels[0].system, h
     if solver in ("fbf-hmg", "fbf-phmg"):
-        chain = mesh_hierarchy(problem, refinements)
-        system = assemble_stokes(problem, chain[-1])
         cycle = "hmg" if solver == "fbf-hmg" else "phmg-direct"
-        inner = build_velocity_hierarchy(problem, refinements, cycle,
-                                         n_V, nu_p, nu_h)
+        inner = build_hierarchy(problem, refinements, cycle, monolithic=False,
+                                n_V=n_V, nu_p=nu_p, nu_h=nu_h)
+        system = assemble_stokes(problem, inner.levels[0].mesh)
         return system, build_fbf(system, inner)
     raise ValueError(f"unknown solver {solver!r}; pick from {SOLVER_NAMES}")
 

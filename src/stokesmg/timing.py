@@ -36,10 +36,3 @@ class Timings:
 
     def total(self):
         return sum(self.seconds.values())
-
-    def merged(self, other):
-        out = Timings()
-        out.seconds = dict(self.seconds)
-        for k, v in other.seconds.items():
-            out.add(k, v)
-        return out

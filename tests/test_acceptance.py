@@ -39,10 +39,8 @@ from stokesmg.quadrature import quadrature_rule
 from stokesmg.relaxation import build_vanka_star_patches
 from stokesmg.solvers import (
     build_fbf,
-    build_hmg,
-    build_phmg,
+    build_hierarchy,
     build_solver,
-    build_velocity_hierarchy,
     fbf_apply,
     mesh_hierarchy,
     solve_stokes,
@@ -92,7 +90,7 @@ def test_criterion_2_dense_oracle_equivalence():
 
     # Two-level propagator: smooth, exact coarse correction, smooth.
     prob = poiseuille_problem(n=2)
-    h = build_hmg(prob, 1)
+    h = build_hierarchy(prob, 1, "hmg")
     K = h.levels[0].K.toarray()
     n = h.levels[0].n
     assert n <= 500
@@ -105,7 +103,7 @@ def test_criterion_2_dense_oracle_equivalence():
     # p-coarsened cycle with the low-order solve replaced by n_V passes of
     # the next cycle (defect correction), composed bottom-up.
     prob = poiseuille_problem(n=1, k=3)
-    h = build_phmg(prob, 2, "direct", n_V=2)
+    h = build_hierarchy(prob, 2, "phmg-direct", n_V=2)
     K0 = h.levels[0].K.toarray()
     n = h.levels[0].n
     assert n <= 500
@@ -126,7 +124,7 @@ def test_criterion_2_dense_oracle_equivalence():
     prob = poiseuille_problem(n=2)
     system = assemble_stokes(prob, mesh_hierarchy(prob, 1)[-1])
     assert system.n <= 300
-    inner = build_velocity_hierarchy(prob, 1, "hmg")
+    inner = build_hierarchy(prob, 1, "hmg", monolithic=False)
     pc = build_fbf(system, inner)
     A_inv = dense_cycle_matrix(inner)
     M_p = assemble_pressure_mass(system.pressure_space).toarray()

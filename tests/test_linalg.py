@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from stokesmg.linalg import (
     SingularMatrixError,
@@ -8,28 +7,7 @@ from stokesmg.linalg import (
     dense_lu,
     estimate_lambda_max,
     fgmres,
-    spmv,
 )
-
-
-class TestSpmv:
-    def test_identity(self):
-        x = np.arange(5.0)
-        assert np.array_equal(spmv(sp.eye(5, format="csr"), x), x)
-
-    def test_zero(self):
-        M = sp.csr_matrix((4, 4))
-        assert np.array_equal(spmv(M, np.ones(4)), np.zeros(4))
-
-    def test_against_dense(self):
-        rng = np.random.default_rng(1)
-        D = rng.standard_normal((5, 5))
-        x = rng.standard_normal(5)
-        assert np.allclose(spmv(sp.csr_matrix(D), x), D @ x, atol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            spmv(sp.eye(3, format="csr"), np.ones(4))
 
 
 class TestDenseLU:

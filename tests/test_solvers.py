@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import cavity_problem, pinned_solve, poiseuille_problem
 from dense_oracles import (dense_cycle_matrix, dense_fbf, eq_defect_correction,
                            eq_two_level, level_smoother, probe_columns)
@@ -7,10 +10,9 @@ from dense_oracles import (dense_cycle_matrix, dense_fbf, eq_defect_correction,
 from stokesmg.assembly import assemble_pressure_mass, assemble_stokes
 from stokesmg.problems import lid_driven_cavity, manufactured
 from stokesmg.solvers import (FBFPreconditioner, MGHierarchy, build_fbf,
-                              build_hmg, build_phmg, build_solver,
-                              build_velocity_hierarchy, fbf_apply, make_apply,
-                              mesh_hierarchy, p_coarsening_schedule,
-                              solve_stokes, vcycle)
+                              build_hierarchy, build_solver, fbf_apply,
+                              make_apply, mesh_hierarchy,
+                              p_coarsening_schedule, solve_stokes, vcycle)
 
 
 class TestPCoarseningSchedule:
@@ -47,7 +49,7 @@ class TestPCoarseningSchedule:
 class TestBuildHmg:
     def test_level_shapes(self):
         prob = cavity_problem(n=2)
-        h = build_hmg(prob, 2)
+        h = build_hierarchy(prob, 2, "hmg")
         assert len(h.levels) == 3
         kinds = [lv.kind for lv in h.levels]
         assert kinds == ["h", "h", "h"]
@@ -63,23 +65,23 @@ class TestBuildHmg:
     def test_rejects_scott_vogelius(self):
         prob = cavity_problem(family="sv")
         with pytest.raises(ValueError, match="Scott-Vogelius"):
-            build_hmg(prob, 1)
+            build_hierarchy(prob, 1, "hmg")
 
     def test_rejects_oversized_coarse_grid(self):
         prob = lid_driven_cavity(0, 2, base_n=48)
         with pytest.raises(ValueError, match="dense-LU cap"):
-            build_hmg(prob, 0)
+            build_hierarchy(prob, 0, "hmg")
 
     def test_rejects_bad_cycle_params(self):
         prob = cavity_problem(n=2)
         with pytest.raises(ValueError, match=">= 1"):
-            build_hmg(prob, 1, nu_h=0)
+            build_hierarchy(prob, 1, "hmg", nu_h=0)
 
 
 class TestBuildPhmg:
     def test_gradual_k6_shape(self):
         prob = lid_driven_cavity(2, 6)
-        h = build_phmg(prob, 2, "gradual")
+        h = build_hierarchy(prob, 2, "phmg-gradual")
         summary = h.level_summary()
         assert [(s[0], s[2]) for s in summary] == [
             ("p", 6), ("p", 4), ("p", 2), ("h", 2), ("h", 2)]
@@ -89,25 +91,25 @@ class TestBuildPhmg:
 
     def test_direct_k6_shape(self):
         prob = lid_driven_cavity(2, 6)
-        h = build_phmg(prob, 2, "direct")
+        h = build_hierarchy(prob, 2, "phmg-direct")
         assert [(s[0], s[2]) for s in h.level_summary()] == [
             ("p", 6), ("p", 2), ("h", 2), ("h", 2)]
 
     def test_direct_equals_gradual_shape_for_k4(self):
         prob = lid_driven_cavity(1, 4)
-        a = build_phmg(prob, 1, "direct").level_summary()
-        b = build_phmg(prob, 1, "gradual").level_summary()
+        a = build_hierarchy(prob, 1, "phmg-direct").level_summary()
+        b = build_hierarchy(prob, 1, "phmg-gradual").level_summary()
         assert a == b
 
     def test_k2_degenerates_to_h_cycle(self):
         prob = lid_driven_cavity(1, 2)
-        h = build_phmg(prob, 1, "direct")
+        h = build_hierarchy(prob, 1, "phmg-direct")
         assert all(lv.kind == "h" for lv in h.levels)
         assert [s[2] for s in h.level_summary()] == [2, 2]
 
     def test_sv_shape(self):
         prob = lid_driven_cavity(2, 3, family="sv")
-        h = build_phmg(prob, 2, "direct")
+        h = build_hierarchy(prob, 2, "phmg-direct")
         summary = h.level_summary()
         assert [(s[0], s[1], s[2]) for s in summary] == [
             ("p", "sv", 3), ("p", "th", 2), ("h", "th", 2), ("h", "th", 2),
@@ -118,7 +120,7 @@ class TestBuildPhmg:
 
     def test_sv_k2_keeps_taylor_hood_companion_level(self):
         prob = lid_driven_cavity(1, 2, family="sv")
-        h = build_phmg(prob, 1, "direct")
+        h = build_hierarchy(prob, 1, "phmg-direct")
         fams = [(s[0], s[1], s[2]) for s in h.level_summary()]
         assert fams[0] == ("p", "sv", 2)
         assert fams[1] == ("p", "th", 2)
@@ -128,19 +130,19 @@ class TestBuildPhmg:
 class TestVelocityHierarchy:
     def test_hmg_descends_at_fixed_degree(self):
         prob = lid_driven_cavity(2, 3)
-        h = build_velocity_hierarchy(prob, 2, "hmg")
+        h = build_hierarchy(prob, 2, "hmg", monolithic=False)
         assert [s[2] for s in h.level_summary()] == [3, 3, 3]
         assert [s[0] for s in h.level_summary()] == ["h", "h", "h"]
 
     def test_phmg_direct_coarsens_p_then_h(self):
         prob = lid_driven_cavity(2, 4)
-        h = build_velocity_hierarchy(prob, 2, "phmg-direct")
+        h = build_hierarchy(prob, 2, "phmg-direct", monolithic=False)
         assert [(s[0], s[2]) for s in h.level_summary()] == [
             ("p", 4), ("p", 2), ("h", 2), ("h", 2)]
 
     def test_sv_velocity_hierarchy_includes_barycentric(self):
         prob = lid_driven_cavity(1, 2, family="sv")
-        h = build_velocity_hierarchy(prob, 1, "hmg")
+        h = build_hierarchy(prob, 1, "hmg", monolithic=False)
         cells = [s[3] for s in h.level_summary()]
         assert cells[0] == 3 * cells[1]  # barycentric finest, then the chain
         assert len(cells) == 3
@@ -148,18 +150,18 @@ class TestVelocityHierarchy:
     def test_unknown_cycle(self):
         prob = lid_driven_cavity(1, 2)
         with pytest.raises(ValueError, match="cycle"):
-            build_velocity_hierarchy(prob, 1, "wmg")
+            build_hierarchy(prob, 1, "wmg", monolithic=False)
 
 
 class TestVcycleBasics:
     def test_zero_rhs(self):
-        h = build_hmg(poiseuille_problem(), 1)
+        h = build_hierarchy(poiseuille_problem(), 1, "hmg")
         x = vcycle(h, np.zeros(h.levels[0].n))
         assert np.all(x == 0.0)
 
     def test_single_level_is_direct_solve(self):
         prob = poiseuille_problem(n=2)
-        h = build_hmg(prob, 0)
+        h = build_hierarchy(prob, 0, "hmg")
         system = h.levels[0].system
         x = vcycle(h, system.b)
         assert np.linalg.norm(system.K @ x - system.b) <= 1e-10 * np.linalg.norm(
@@ -167,14 +169,14 @@ class TestVcycleBasics:
 
     def test_single_level_enclosed_flow(self):
         prob = cavity_problem(n=2)
-        h = build_hmg(prob, 0)
+        h = build_hierarchy(prob, 0, "hmg")
         system = h.levels[0].system
         x = vcycle(h, system.b)
         r = system.b - system.K @ x
         assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(system.b), 1.0)
 
     def test_linearity(self):
-        h = build_hmg(poiseuille_problem(), 1)
+        h = build_hierarchy(poiseuille_problem(), 1, "hmg")
         n = h.levels[0].n
         rng = np.random.default_rng(3)
         b1, b2 = rng.standard_normal(n), rng.standard_normal(n)
@@ -183,7 +185,7 @@ class TestVcycleBasics:
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
 
     def test_shape_mismatch(self):
-        h = build_hmg(poiseuille_problem(), 1)
+        h = build_hierarchy(poiseuille_problem(), 1, "hmg")
         with pytest.raises(ValueError, match="expected"):
             vcycle(h, np.zeros(3))
 
@@ -191,7 +193,7 @@ class TestVcycleBasics:
 class TestDenseOracles:
     def test_two_level_propagator_matches_formula(self):
         prob = poiseuille_problem(n=2)
-        h = build_hmg(prob, 1)
+        h = build_hierarchy(prob, 1, "hmg")
         K = h.levels[0].K.toarray()
         n = h.levels[0].n
         assert n <= 500
@@ -203,7 +205,7 @@ class TestDenseOracles:
 
     def test_phmg_defect_correction_matches_formula(self):
         prob = poiseuille_problem(n=1, k=3)
-        h = build_phmg(prob, 2, "direct", n_V=2)
+        h = build_hierarchy(prob, 2, "phmg-direct", n_V=2)
         assert [(s[0], s[2]) for s in h.level_summary()] == [
             ("p", 3), ("p", 2), ("h", 2), ("h", 2)]
         K0 = h.levels[0].K.toarray()
@@ -227,17 +229,45 @@ class TestDenseOracles:
 
     def test_recursive_cycle_matrix_matches_implementation(self):
         prob = poiseuille_problem(n=1, k=3)
-        h = build_phmg(prob, 2, "direct", n_V=2)
+        h = build_hierarchy(prob, 2, "phmg-direct", n_V=2)
         M_dense = dense_cycle_matrix(h)
         M_impl = probe_columns(lambda b: vcycle(h, b), h.levels[0].n)
         assert np.abs(M_dense - M_impl).max() <= 1e-11
+
+
+def _snapshot(obj):
+    """Each attribute with a copy of its contents (containers shallowly)."""
+    out = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, (dict, list)):
+            contents = copy.copy(value)
+        elif isinstance(value, np.ndarray) or sp.issparse(value):
+            contents = value.copy()
+        else:
+            contents = None
+        out[name] = (value, contents)
+    return out
+
+
+def _unchanged(value, contents):
+    if isinstance(value, dict):
+        return (value.keys() == contents.keys()
+                and all(value[k] is contents[k] for k in value))
+    if isinstance(value, list):
+        return len(value) == len(contents) and all(
+            a is b for a, b in zip(value, contents))
+    if isinstance(value, np.ndarray):
+        return np.array_equal(value, contents)
+    if sp.issparse(value):
+        return (value != contents).nnz == 0
+    return True
 
 
 class TestFBF:
     def _poiseuille_fbf(self):
         prob = poiseuille_problem(n=2)
         system = assemble_stokes(prob, mesh_hierarchy(prob, 1)[-1])
-        inner = build_velocity_hierarchy(prob, 1, "hmg")
+        inner = build_hierarchy(prob, 1, "hmg", monolithic=False)
         return system, build_fbf(system, inner), inner
 
     def test_apply_matches_block_formula(self):
@@ -250,17 +280,38 @@ class TestFBF:
         P_impl = probe_columns(lambda r: fbf_apply(pc, r), system.n)
         assert np.abs(P_formula - P_impl).max() <= 1e-11
 
-    def test_apply_cost_accounting(self):
-        system, pc, _ = self._poiseuille_fbf()
-        assert FBFPreconditioner.application_cost() == {
-            "Ainv": 2, "Sinv": 1, "B": 1, "BT": 1}
+    def test_apply_runs_two_velocity_solves_and_one_schur_solve(self):
+        prob = poiseuille_problem(n=2)
+        system = assemble_stokes(prob, mesh_hierarchy(prob, 1)[-1])
+        calls = {"inner": 0, "schur": 0}
+
+        def inner(r):
+            calls["inner"] += 1
+            return 0.5 * r
+
+        def schur_solve(r):
+            calls["schur"] += 1
+            return 2.0 * r
+
+        pc = build_fbf(system, inner, schur_solve=schur_solve)
+        rng = np.random.default_rng(11)
+        for applies in (1, 2, 3):
+            fbf_apply(pc, rng.standard_normal(system.n))
+            assert calls == {"inner": 2 * applies, "schur": applies}
+
+    def test_solve_leaves_preconditioner_unchanged(self):
+        system, pc, inner = self._poiseuille_fbf()
+        objects = {"pc": pc, "inner": inner}
+        objects.update({f"level {i}": lv for i, lv in enumerate(inner.levels)})
+        before = {key: _snapshot(obj) for key, obj in objects.items()}
         x, rep = solve_stokes(system, pc)
         assert rep.converged
-        applies = pc.apply_counts["Sinv"]
-        assert applies >= rep.iterations
-        assert pc.apply_counts["Ainv"] == 2 * applies
-        assert pc.apply_counts["B"] == applies
-        assert pc.apply_counts["BT"] == applies
+        for key, obj in objects.items():
+            after = vars(obj)
+            assert after.keys() == before[key].keys(), key
+            for name, (value, contents) in before[key].items():
+                assert after[name] is value, f"{key}.{name} rebound"
+                assert _unchanged(value, contents), f"{key}.{name} mutated"
 
     def test_exact_blocks_give_immediate_convergence(self):
         prob = poiseuille_problem(n=2)
@@ -279,7 +330,8 @@ class TestFBF:
     def test_dimension_mismatch(self):
         prob = poiseuille_problem(n=2)
         system = assemble_stokes(prob, mesh_hierarchy(prob, 1)[-1])
-        wrong = build_velocity_hierarchy(poiseuille_problem(n=1), 1, "hmg")
+        wrong = build_hierarchy(poiseuille_problem(n=1), 1, "hmg",
+                                monolithic=False)
         with pytest.raises(ValueError, match="velocity"):
             build_fbf(system, wrong)
 
@@ -287,7 +339,7 @@ class TestFBF:
 class TestStationaryContraction:
     def test_two_level_cavity_contracts(self):
         prob = cavity_problem(n=2)
-        h = build_hmg(prob, 1)
+        h = build_hierarchy(prob, 1, "hmg")
         system = h.levels[0].system
         K = system.K
         c = system.pressure_nullvector()
@@ -354,6 +406,14 @@ class TestSolveStokes:
             x, rep = solve_stokes(system, pc)
             assert rep.converged
 
+    def test_nan_preconditioner_stops_at_once(self):
+        prob = lid_driven_cavity(1, 2)
+        system, _ = build_solver(prob, 1, "hmg")
+        x, rep = solve_stokes(system, lambda v: np.full_like(v, np.nan))
+        assert not rep.converged
+        assert rep.iterations <= 1
+        assert np.all(np.isfinite(x))
+
     def test_unknown_solver_name(self):
         prob = cavity_problem(n=2)
         with pytest.raises(ValueError, match="unknown solver"):
@@ -361,7 +421,7 @@ class TestSolveStokes:
 
     def test_make_apply_dispatch(self):
         prob = cavity_problem(n=2)
-        h = build_hmg(prob, 1)
+        h = build_hierarchy(prob, 1, "hmg")
         assert isinstance(h, MGHierarchy)
         apply_h = make_apply(h)
         b = np.zeros(h.levels[0].n)
