@@ -8,8 +8,14 @@ with one patch per mesh vertex. Vanka patches (monolithic relaxation) take
 velocity DoFs on the closure of the vertex star and pressure DoFs on the
 star itself; star patches (velocity-only relaxation inside the block
 preconditioner) take velocity DoFs on the star only. W_i is the inverse
-patch-multiplicity of each DoF, applied after the local solve, so the
-weights of a DoF across patches sum to one.
+patch-multiplicity of each DoF, so the weights of a DoF across patches sum
+to one.
+
+Factoring stores the smoother as `blocks`, one `(I, X)` pair per distinct
+patch size m: `I` (p, m) stacks the index lists of the p patches of that
+size and `X` (p, m, m) their weighted inverses W_i inv(K(i)). A sweep is
+then one stacked product and one scatter-add per size, with no per-patch
+Python work.
 """
 
 from __future__ import annotations
@@ -29,32 +35,17 @@ __all__ = [
 
 
 class PatchSet:
-    """Per-vertex DoF index lists, plus weights and factors once factored."""
+    """Per-vertex DoF index lists, plus the size-grouped weighted patch
+    inverses (`blocks`) once factored."""
 
-    def __init__(self, n, vertices, indices, weights=None, factors=None):
+    def __init__(self, n, vertices, indices, blocks=None):
         self.n = n
         self.vertices = vertices
         self.indices = indices
-        self.weights = weights
-        self.factors = factors
+        self.blocks = blocks
 
     def __len__(self):
         return len(self.indices)
-
-    @property
-    def factored(self):
-        return self.factors is not None
-
-    def reordered(self, order):
-        """Same patches, visited in a different order (for order-independence
-        checks)."""
-        pick = lambda xs: None if xs is None else [xs[i] for i in order]
-        return PatchSet(self.n, pick(self.vertices), pick(self.indices),
-                        pick(self.weights), pick(self.factors))
-
-
-def _entity_dofs(space, entity_set):
-    return space.entity_set_scalar_dofs(entity_set)
 
 
 def build_vanka_star_patches(mesh, velocity_space, pressure_space,
@@ -73,8 +64,9 @@ def build_vanka_star_patches(mesh, velocity_space, pressure_space,
     for v in range(mesh.num_vertices):
         star = vertex_star(mesh, v)
         cl = closure(mesh, star)
-        vel = velocity_space.expand_components(_entity_dofs(velocity_space, cl))
-        pres = n_u + _entity_dofs(pressure_space, star)
+        vel = velocity_space.expand_components(
+            velocity_space.entity_set_scalar_dofs(cl))
+        pres = n_u + pressure_space.entity_set_scalar_dofs(star)
         idx = np.concatenate([vel, pres])
         idx = idx[~excluded[idx]]
         if len(idx) == 0:
@@ -94,7 +86,7 @@ def build_star_patches(mesh, velocity_space, dirichlet_dofs=()):
     for v in range(mesh.num_vertices):
         star = vertex_star(mesh, v)
         idx = velocity_space.expand_components(
-            _entity_dofs(velocity_space, star)
+            velocity_space.entity_set_scalar_dofs(star)
         )
         idx = idx[~excluded[idx]]
         if len(idx) == 0:
@@ -104,28 +96,12 @@ def build_star_patches(mesh, velocity_space, dirichlet_dofs=()):
     return PatchSet(n, vertices, indices)
 
 
-def _gather_dense(K, idx):
-    """Dense submatrix K[idx, idx]; idx must be sorted."""
-    m = len(idx)
-    out = np.zeros((m, m))
-    for li in range(m):
-        r = idx[li]
-        start, stop = K.indptr[r], K.indptr[r + 1]
-        cols = K.indices[start:stop]
-        pos = np.searchsorted(idx, cols)
-        inside = pos < m
-        pos = pos[inside]
-        hit = idx[pos] == cols[inside]
-        out[li, pos[hit]] = K.data[start:stop][inside][hit]
-    return out
-
-
 def factor_patches(K, patches):
-    """Extract and LU-factor every patch submatrix of K; compute weights.
+    """Invert every patch submatrix of K and fold in the patch weights.
 
-    Returns a new factored PatchSet. A singular patch matrix raises an error
-    naming the offending vertex (a sign the decomposition kept constrained
-    DoFs it should have excluded).
+    Returns a new PatchSet holding `blocks`. A singular patch matrix raises
+    an error naming the offending vertex (a sign the decomposition kept
+    constrained DoFs it should have excluded).
     """
     K = K.tocsr()
     K.sum_duplicates()
@@ -134,29 +110,37 @@ def factor_patches(K, patches):
             f"operator shape {K.shape} does not match patch dimension "
             f"{patches.n}"
         )
-    multiplicity = np.zeros(patches.n)
-    for idx in patches.indices:
-        multiplicity[idx] += 1.0
-    weights = []
-    factors = []
-    for v, idx in zip(patches.vertices, patches.indices):
-        local = _gather_dense(K, idx)
-        try:
-            factors.append(dense_lu(local))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"singular patch matrix at vertex {v}: {exc}"
-            ) from exc
-        weights.append(1.0 / multiplicity[idx])
+    multiplicity = np.bincount(
+        np.concatenate([np.empty(0, dtype=np.intp), *patches.indices]),
+        minlength=patches.n,
+    )
+    sizes = np.array([len(idx) for idx in patches.indices], dtype=np.intp)
+    blocks = []
+    for m in np.unique(sizes):
+        members = np.flatnonzero(sizes == m)
+        I = np.stack([patches.indices[i] for i in members])
+        X = np.empty((len(members), m, m))
+        for slot, (i, idx) in enumerate(zip(members, I)):
+            try:
+                lu = dense_lu(K[idx][:, idx].toarray())
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"singular patch matrix at vertex "
+                    f"{patches.vertices[i]}: {exc}"
+                ) from exc
+            X[slot] = lu.inverse()
+            X[slot] *= (1.0 / multiplicity[idx])[:, None]
+        blocks.append((I, X))
     return PatchSet(patches.n, list(patches.vertices),
-                    list(patches.indices), weights, factors)
+                    list(patches.indices), blocks)
 
 
 def asm_apply(patches, r):
     """One additive Schwarz sweep: z = sum_i I^T W inv(K_i) I r."""
-    if not patches.factored:
+    if patches.blocks is None:
         raise ValueError("patches must be factored first")
     z = np.zeros_like(r)
-    for idx, w, F in zip(patches.indices, patches.weights, patches.factors):
-        z[idx] += w * F.solve(r[idx])
+    for I, X in patches.blocks:
+        z += np.bincount(I.ravel(), (X @ r[I][..., None]).ravel(),
+                         minlength=len(r))
     return z

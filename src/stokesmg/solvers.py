@@ -145,8 +145,6 @@ class MGHierarchy:
     def __init__(self, levels, coarse, pinned_dof, n_V, nu_p, nu_h):
         if not levels:
             raise ValueError("a hierarchy needs at least one level")
-        if min(n_V, nu_p, nu_h) < 1:
-            raise ValueError("cycle parameters must be >= 1")
         seen_h = False
         for i, level in enumerate(levels):
             is_coarsest = i == len(levels) - 1
@@ -353,6 +351,8 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
     n_V = dv if n_V is None else n_V
     nu_p = dp if nu_p is None else nu_p
     nu_h = dh if nu_h is None else nu_h
+    if min(n_V, nu_p, nu_h) < 1:
+        raise ValueError("cycle parameters must be >= 1")
     specs = level_specs(problem, refinements, cycle, monolithic)
     levels = [
         _build_level(problem, spec, i == len(specs) - 1, nu_p, nu_h)

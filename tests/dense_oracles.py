@@ -11,12 +11,20 @@ import numpy as np
 CHEB_LOWER, CHEB_UPPER = 0.3, 1.1
 
 
-def dense_asm(patches, n):
-    """The additive Schwarz approximate inverse as a dense matrix."""
-    M = np.zeros((n, n))
-    for idx, w, F in zip(patches.indices, patches.weights, patches.factors):
-        local_inv = F.solve(np.eye(len(idx)))
-        M[np.ix_(idx, idx)] += w[:, None] * local_inv
+def dense_asm(K, indices):
+    """The additive Schwarz approximate inverse as a dense matrix.
+
+    sum_i I_i^T W_i inv(K[idx_i, idx_i]) I_i, with W_i the inverse number of
+    patches each DoF lies in, built from the dense operator and the patch
+    index lists alone. DoFs in no patch get zero rows and columns.
+    """
+    multiplicity = np.zeros(K.shape[0])
+    for idx in indices:
+        multiplicity[idx] += 1.0
+    M = np.zeros(K.shape)
+    for idx in indices:
+        local_inv = np.linalg.inv(K[np.ix_(idx, idx)])
+        M[np.ix_(idx, idx)] += local_inv / multiplicity[idx][:, None]
     return M
 
 
@@ -40,7 +48,7 @@ def level_smoother(level):
     """(S, Q): error propagator and from-zero solution matrix of the
     level's Chebyshev-wrapped patch relaxation."""
     K = level.K.toarray()
-    Minv = dense_asm(level.patches, level.n)
+    Minv = dense_asm(K, level.patches.indices)
     S = dense_cheb_error(Minv @ K, level.nu, level.lambda_max)
     Q = (np.eye(level.n) - S) @ np.linalg.inv(K)
     return S, Q

@@ -7,6 +7,7 @@ from stokesmg.assembly import assemble_stokes, assemble_vector_laplacian
 from stokesmg.linalg import SingularMatrixError, estimate_lambda_max
 from stokesmg.mesh import generate_structured_grid
 from stokesmg.relaxation import (
+    PatchSet,
     asm_apply,
     build_star_patches,
     build_vanka_star_patches,
@@ -132,13 +133,18 @@ class TestFactorPatches:
         )
         factored = factor_patches(system.K, patches)
         dense = system.K.toarray()
-        rng = np.random.default_rng(0)
-        for i in rng.choice(len(factored), size=4, replace=False):
-            idx = factored.indices[i]
-            sub = dense[np.ix_(idx, idx)]
-            b = rng.standard_normal(len(idx))
-            assert np.allclose(factored.factors[i].solve(b),
-                               np.linalg.solve(sub, b), atol=1e-10)
+        multiplicity = np.zeros(system.n)
+        for idx in patches.indices:
+            multiplicity[idx] += 1.0
+        rows = 0
+        for I, X in factored.blocks:
+            assert X.shape == I.shape + I.shape[-1:]
+            for idx, x in zip(I, X):
+                expected = (np.linalg.inv(dense[np.ix_(idx, idx)])
+                            / multiplicity[idx][:, None])
+                assert np.allclose(x, expected, atol=1e-10)
+            rows += len(I)
+        assert rows == len(patches)
 
     def test_weights_sum_to_one(self):
         prob = cavity_problem(k=2)
@@ -147,22 +153,22 @@ class TestFactorPatches:
             prob.base_mesh, system.velocity_space, system.pressure_space,
             system.dirichlet_dofs,
         )
-        factored = factor_patches(system.K, patches)
-        total = np.zeros(system.n)
-        for idx, w in zip(factored.indices, factored.weights):
-            total[idx] += w
+        # With the identity as operator every patch inverse is the identity,
+        # so one sweep on a vector of ones returns each DoF's weight sum.
+        factored = factor_patches(sp.identity(system.n, format="csr"),
+                                  patches)
+        total = asm_apply(factored, np.ones(system.n))
         free = np.ones(system.n, dtype=bool)
         free[system.dirichlet_dofs] = False
         assert np.abs(total[free] - 1.0).max() < 1e-14
+        assert np.all(total[~free] == 0.0)
 
     def test_disjoint_patches_weights_all_one(self):
-        from stokesmg.relaxation import PatchSet
-
         K = sp.eye(6, format="csr") * 2.0
         patches = PatchSet(6, [0, 1], [np.array([0, 1, 2]), np.array([3, 4, 5])])
         factored = factor_patches(K, patches)
-        for w in factored.weights:
-            assert np.all(w == 1.0)
+        r = np.random.default_rng(37).standard_normal(6)
+        assert np.array_equal(asm_apply(factored, r), 0.5 * r)
 
     def test_singular_patch_names_vertex(self):
         mesh = generate_structured_grid(1)
@@ -197,8 +203,6 @@ class TestAsmApply:
         assert np.abs(z).max() == 0.0
 
     def test_block_jacobi_on_block_diagonal(self):
-        from stokesmg.relaxation import PatchSet
-
         rng = np.random.default_rng(41)
         blocks = [rng.standard_normal((3, 3)) + 3 * np.eye(3) for _ in range(4)]
         K = sp.block_diag(blocks, format="csr")
@@ -214,9 +218,14 @@ class TestAsmApply:
     def test_matches_dense_formula(self):
         system, factored = self._factored_cavity()
         assert system.n <= 200
+        assert len(factored.blocks) >= 2  # more than one patch size
         dense = system.K.toarray()
+        multiplicity = np.zeros(system.n)
+        for idx in factored.indices:
+            multiplicity[idx] += 1.0
         M_inv = np.zeros((system.n, system.n))
-        for idx, w in zip(factored.indices, factored.weights):
+        for idx in factored.indices:
+            w = 1.0 / multiplicity[idx]
             I = np.zeros((len(idx), system.n))
             I[np.arange(len(idx)), idx] = 1.0
             local = np.linalg.inv(dense[np.ix_(idx, idx)])
@@ -239,7 +248,9 @@ class TestAsmApply:
         rng = np.random.default_rng(53)
         r = rng.standard_normal(system.n)
         order = rng.permutation(len(factored))
-        shuffled = factored.reordered(order.tolist())
+        shuffled = factor_patches(system.K, PatchSet(
+            system.n, [factored.vertices[i] for i in order],
+            [factored.indices[i] for i in order]))
         assert np.allclose(asm_apply(factored, r), asm_apply(shuffled, r),
                            atol=1e-12)
 

@@ -1,4 +1,6 @@
-import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from conftest import cavity_problem, pinned_solve, poiseuille_problem
 from dense_oracles import (dense_cycle_matrix, dense_fbf, eq_defect_correction,
                            eq_two_level, level_smoother, probe_columns)
 
+from stokesmg import solvers
 from stokesmg.assembly import assemble_pressure_mass, assemble_stokes
 from stokesmg.problems import lid_driven_cavity, manufactured
+from stokesmg.relaxation import PatchSet
 from stokesmg.solvers import (FBFPreconditioner, MGHierarchy, build_fbf,
                               build_hierarchy, build_solver, fbf_apply,
                               make_apply, mesh_hierarchy,
@@ -76,6 +80,19 @@ class TestBuildHmg:
         prob = cavity_problem(n=2)
         with pytest.raises(ValueError, match=">= 1"):
             build_hierarchy(prob, 1, "hmg", nu_h=0)
+
+    @pytest.mark.parametrize("param", ["n_V", "nu_p", "nu_h"])
+    def test_bad_cycle_params_rejected_before_assembly(self, monkeypatch,
+                                                        param):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("setup ran before the cycle-parameter check")
+
+        monkeypatch.setattr(solvers, "assemble_stokes", no_setup)
+        monkeypatch.setattr(solvers, "assemble_vector_laplacian", no_setup)
+        for monolithic in (True, False):
+            with pytest.raises(ValueError, match=">= 1"):
+                build_hierarchy(cavity_problem(n=2), 1, "phmg-direct",
+                                monolithic=monolithic, **{param: 0})
 
 
 class TestBuildPhmg:
@@ -236,30 +253,42 @@ class TestDenseOracles:
 
 
 def _snapshot(obj):
-    """Each attribute with a copy of its contents (containers shallowly)."""
-    out = {}
-    for name, value in vars(obj).items():
-        if isinstance(value, (dict, list)):
-            contents = copy.copy(value)
-        elif isinstance(value, np.ndarray) or sp.issparse(value):
-            contents = value.copy()
-        else:
-            contents = None
-        out[name] = (value, contents)
-    return out
+    """Each attribute with a copy of its contents."""
+    return {name: (value, _contents(value))
+            for name, value in vars(obj).items()}
+
+
+def _contents(value):
+    """Arrays are copied; containers and the patch smoother are descended
+    into; anything else is compared by identity only."""
+    if isinstance(value, (list, tuple)):
+        return [(item, _contents(item)) for item in value]
+    if isinstance(value, dict):
+        return {key: (item, _contents(item)) for key, item in value.items()}
+    if isinstance(value, np.ndarray) or sp.issparse(value):
+        return value.copy()
+    if isinstance(value, PatchSet):
+        return _snapshot(value)
+    return None
 
 
 def _unchanged(value, contents):
-    if isinstance(value, dict):
-        return (value.keys() == contents.keys()
-                and all(value[k] is contents[k] for k in value))
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return len(value) == len(contents) and all(
-            a is b for a, b in zip(value, contents))
+            item is before and _unchanged(item, c)
+            for item, (before, c) in zip(value, contents))
+    if isinstance(value, dict):
+        return value.keys() == contents.keys() and all(
+            value[key] is before and _unchanged(value[key], c)
+            for key, (before, c) in contents.items())
     if isinstance(value, np.ndarray):
         return np.array_equal(value, contents)
     if sp.issparse(value):
         return (value != contents).nnz == 0
+    if isinstance(value, PatchSet):
+        return vars(value).keys() == contents.keys() and all(
+            getattr(value, name) is before and _unchanged(before, c)
+            for name, (before, c) in contents.items())
     return True
 
 
@@ -300,18 +329,23 @@ class TestFBF:
             assert calls == {"inner": 2 * applies, "schur": applies}
 
     def test_solve_leaves_preconditioner_unchanged(self):
+        # FBF with its velocity hierarchy, and a monolithic phMG hierarchy
         system, pc, inner = self._poiseuille_fbf()
-        objects = {"pc": pc, "inner": inner}
-        objects.update({f"level {i}": lv for i, lv in enumerate(inner.levels)})
-        before = {key: _snapshot(obj) for key, obj in objects.items()}
-        x, rep = solve_stokes(system, pc)
-        assert rep.converged
-        for key, obj in objects.items():
-            after = vars(obj)
-            assert after.keys() == before[key].keys(), key
-            for name, (value, contents) in before[key].items():
-                assert after[name] is value, f"{key}.{name} rebound"
-                assert _unchanged(value, contents), f"{key}.{name} mutated"
+        h_system, h = build_solver(cavity_problem(k=3), 1, "phmg-direct")
+        for system, pc, hierarchy in ((system, pc, inner), (h_system, h, h)):
+            objects = {"pc": pc, "hierarchy": hierarchy}
+            objects.update({f"level {i}": lv
+                            for i, lv in enumerate(hierarchy.levels)})
+            before = {key: _snapshot(obj) for key, obj in objects.items()}
+            x, rep = solve_stokes(system, pc)
+            assert rep.converged
+            for key, obj in objects.items():
+                after = vars(obj)
+                assert after.keys() == before[key].keys(), key
+                for name, (value, contents) in before[key].items():
+                    assert after[name] is value, f"{key}.{name} rebound"
+                    assert _unchanged(value, contents), \
+                        f"{key}.{name} mutated"
 
     def test_exact_blocks_give_immediate_convergence(self):
         prob = poiseuille_problem(n=2)
@@ -413,6 +447,44 @@ class TestSolveStokes:
         assert not rep.converged
         assert rep.iterations <= 1
         assert np.all(np.isfinite(x))
+
+    def test_concurrent_solves_match_serial(self):
+        # A race on shared factorization state can corrupt the heap and
+        # abort the interpreter, so the threads run in a child process.
+        script = """
+import sys
+import threading
+
+import numpy as np
+
+from stokesmg.problems import lid_driven_cavity
+from stokesmg.solvers import build_solver, solve_stokes
+
+for solver in ("phmg-direct", "fbf-phmg"):
+    system, pc = build_solver(lid_driven_cavity(1, 3, base_n=8), 1, solver)
+    serial, _ = solve_stokes(system, pc)
+    for trial in range(3):
+        results = [None, None]
+
+        def run(i):
+            results[i] = solve_stokes(system, pc)[0]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if not all(x is not None and np.array_equal(x, serial)
+                   for x in results):
+            sys.exit(f"{solver}: a threaded solve differs from the serial one")
+"""
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_unknown_solver_name(self):
         prob = cavity_problem(n=2)
