@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .quadrature import quadrature_rule
 from .reference import LOCAL_EDGES
-from .spaces import build_space
+from .spaces import build_space, evaluate
 
 __all__ = [
     "ProblemInstance",
@@ -42,8 +42,14 @@ class ProblemInstance:
     """A Stokes problem: geometry seed, boundary data, forcing, and spaces.
 
     `dirichlet` and `neumann` map boundary markers to functions of (x, y)
-    returning two components. Every marker present on the mesh must appear
-    in exactly one of the two. A problem with no Neumann part is enclosed
+    returning two components; `forcing` and `exact_u` return two
+    components and `exact_p` one. Every callback is called once per use
+    with arrays of x and y coordinates, and returns one array per
+    component (a tuple, or an array with components along its first axis);
+    a scalar in place of an array is broadcast over the points.
+
+    Every marker present on the mesh must appear in exactly one of
+    `dirichlet` and `neumann`. A problem with no Neumann part is enclosed
     flow and carries the constant-pressure nullspace. `refinements` records
     how many uniform refinements separate the base mesh from the intended
     finest solve mesh (factories set it; solver builders may override).
@@ -225,21 +231,23 @@ def assemble_pressure_mass(pressure_space, rule=None):
     return M
 
 
+def _quadrature_points(mesh, rule):
+    """Physical quadrature points, (T, q, 2)."""
+    return np.einsum("qb,tbd->tqd", rule.points, mesh.vertices[mesh.cells])
+
+
 def _assemble_forcing(space, forcing, rule):
-    b = np.zeros(space.num_dofs)
+    """Load vector of the body force: one callback on all quadrature
+    points of the mesh, one scatter-add."""
     if forcing is None:
-        return b
+        return np.zeros(space.num_dofs)
     values, _ = space.element.tabulate(rule.xy)
     detJ, _ = _geometry(space.mesh)
-    lam = rule.points
-    for t in range(space.mesh.num_cells):
-        tri = space.mesh.vertices[space.mesh.cells[t]]
-        phys = lam @ tri
-        fvals = np.array([forcing(x, y) for x, y in phys])  # (q, 2)
-        loc = np.einsum("q,qn,qc->nc", rule.weights * detJ[t], values, fvals)
-        dofs = space.cell_dofs[t].reshape(-1, 2)
-        np.add.at(b, dofs, loc)
-    return b
+    f = evaluate(forcing, _quadrature_points(space.mesh, rule), 2)
+    local = np.einsum("tq,qn,tqc->tnc", rule.weights * detJ[:, None], values,
+                      f)
+    return np.bincount(space.cell_dofs.ravel(), local.ravel(),
+                       minlength=space.num_dofs)
 
 
 def _edge_quadrature(n):
@@ -252,28 +260,28 @@ def _assemble_neumann(space, neumann, b):
     if not neumann:
         return
     mesh = space.mesh
-    elem = space.element
     s, w = _edge_quadrature(space.k + 1)
-    for e, marker in sorted(mesh.boundary_edge_markers.items()):
-        if marker not in neumann:
-            continue
-        g = neumann[marker]
-        (t,) = mesh.cells_of_edge(e)
-        tri = mesh.cells[t]
-        le = next(
-            i for i, ge in enumerate(mesh.cell_edges[t]) if ge == e
-        )
-        i, j = LOCAL_EDGES[le]
-        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        pts = ref[i] + np.outer(s, ref[j] - ref[i])
-        values, _ = elem.tabulate(pts)
-        pa, pb = mesh.vertices[tri[i]], mesh.vertices[tri[j]]
-        length = np.linalg.norm(pb - pa)
-        phys = pa + np.outer(s, pb - pa)
-        gvals = np.array([g(x, y) for x, y in phys])  # (q, 2)
-        loc = np.einsum("q,qn,qc->nc", w * length, values, gvals)
-        dofs = space.cell_dofs[t].reshape(-1, 2)
-        np.add.at(b, dofs, loc)
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    edges = np.array(list(mesh.boundary_edge_markers), dtype=np.int64)
+    marks = np.array(list(mesh.boundary_edge_markers.values()))
+    for marker in sorted(neumann):
+        # (cell, local edge) slots holding an edge with this marker
+        on = np.isin(mesh.cell_edges, edges[marks == marker])
+        for local in range(3):
+            cells = np.flatnonzero(on[:, local])
+            if not len(cells):
+                continue
+            i, j = LOCAL_EDGES[local]
+            values, _ = space.element.tabulate(
+                ref[i] + np.outer(s, ref[j] - ref[i]))
+            pa = mesh.vertices[mesh.cells[cells, i]]
+            pb = mesh.vertices[mesh.cells[cells, j]]
+            length = np.linalg.norm(pb - pa, axis=1)
+            g = evaluate(neumann[marker],
+                         pa[:, None] + s[:, None] * (pb - pa)[:, None], 2)
+            loc = np.einsum("q,e,qn,eqc->enc", w, length, values, g)
+            b += np.bincount(space.cell_dofs[cells].ravel(), loc.ravel(),
+                             minlength=len(b))
 
 
 def collect_dirichlet(space, dirichlet):
@@ -282,20 +290,15 @@ def collect_dirichlet(space, dirichlet):
     Markers are visited in sorted order; boundary data is expected to agree
     where markers meet.
     """
-    dofs = []
-    values = []
-    seen = {}
+    values = np.zeros((space.num_scalar_dofs, space.components))
+    seen = np.zeros(space.num_scalar_dofs, dtype=bool)
     for marker in sorted(dirichlet):
-        g = dirichlet[marker]
-        for sdof in space.boundary_scalar_dofs(markers={marker}):
-            x, y = space.dof_coords[sdof]
-            val = np.asarray(g(x, y), dtype=np.float64).ravel()
-            seen[int(sdof)] = val
-    for sdof in sorted(seen):
-        for c in range(space.components):
-            dofs.append(space.components * sdof + c)
-            values.append(seen[sdof][c])
-    return np.array(dofs, dtype=np.int64), np.array(values)
+        sdofs = space.boundary_scalar_dofs(markers={marker})
+        values[sdofs] = evaluate(dirichlet[marker], space.dof_coords[sdofs],
+                                 space.components)
+        seen[sdofs] = True
+    sdofs = np.flatnonzero(seen)
+    return space.expand_components(sdofs), values[sdofs].ravel()
 
 
 def eliminate_dirichlet(K, dofs, values, b=None):
@@ -313,15 +316,17 @@ def eliminate_dirichlet(K, dofs, values, b=None):
         lift = np.zeros(K.shape[1])
         lift[dofs] = values
         b -= K @ lift
-    mask = np.isin(K.indices, dofs)
-    K.data[mask] = 0.0
-    for r in dofs:
-        start, stop = K.indptr[r], K.indptr[r + 1]
-        K.data[start:stop] = 0.0
-        pos = np.searchsorted(K.indices[start:stop], r)
-        if pos >= stop - start or K.indices[start + pos] != r:
-            raise ValueError(f"no stored diagonal for Dirichlet DoF {r}")
-        K.data[start + pos] = 1.0
+    on = np.zeros(K.shape[0], dtype=bool)
+    on[dofs] = True
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K.data[on[rows] | on[K.indices]] = 0.0
+    diagonal = on[rows] & (K.indices == rows)
+    stored = np.zeros(K.shape[0], dtype=bool)
+    stored[rows[diagonal]] = True
+    if not stored[dofs].all():
+        missing = dofs[~stored[dofs]][0]
+        raise ValueError(f"no stored diagonal for Dirichlet DoF {missing}")
+    K.data[diagonal] = 1.0
     if b is not None:
         b[dofs] = values
     return K, b
@@ -329,19 +334,23 @@ def eliminate_dirichlet(K, dofs, values, b=None):
 
 def stokes_spaces(mesh, family, k):
     """Velocity/pressure space pair for a discretization family."""
-    velocity = build_space(mesh, k, "continuous", components=2)
-    if family == TAYLOR_HOOD:
-        pressure = build_space(mesh, k - 1, "continuous")
-    else:
-        pressure = build_space(mesh, k - 1, "discontinuous")
-    return velocity, pressure
+    return (build_space(mesh, k, "continuous", components=2),
+            _pressure_space(mesh, family, k))
 
 
-def assemble_stokes(problem, mesh, k=None, family=None):
+def _pressure_space(mesh, family, k):
+    continuity = "continuous" if family == TAYLOR_HOOD else "discontinuous"
+    return build_space(mesh, k - 1, continuity)
+
+
+def assemble_stokes(problem, mesh, k=None, family=None, *, _velocity=None):
     """Assemble the saddle system for `problem` on `mesh`.
 
     `k` and `family` override the problem's values; multilevel solvers use
-    this to rediscretize on coarser meshes and degrees.
+    this to rediscretize on coarser meshes and degrees. `_velocity` is for
+    those solvers too: a velocity block they already built on `mesh` at
+    degree k, as (space, raw A, Dirichlet DoFs, Dirichlet values), which is
+    then shared instead of built again.
     """
     k = problem.k if k is None else k
     family = problem.family if family is None else family
@@ -352,17 +361,21 @@ def assemble_stokes(problem, mesh, k=None, family=None):
             raise ValueError(
                 "Scott-Vogelius requires a barycentrically refined mesh"
             )
-    velocity, pressure = stokes_spaces(mesh, family, k)
     rule = quadrature_rule(2 * k)
+    if _velocity is None:
+        velocity, pressure = stokes_spaces(mesh, family, k)
+        A = assemble_vector_laplacian(velocity, rule)
+        dofs, values = collect_dirichlet(velocity, problem.dirichlet)
+    else:
+        velocity, A, dofs, values = _velocity
+        pressure = _pressure_space(mesh, family, k)
 
-    A = assemble_vector_laplacian(velocity, rule)
     B = assemble_divergence(velocity, pressure, rule)
     b_u = _assemble_forcing(velocity, problem.forcing, rule)
     _assemble_neumann(velocity, problem.neumann, b_u)
     b = np.concatenate([b_u, np.zeros(pressure.num_dofs)])
 
     K_raw = sp.bmat([[A, B.T], [B, None]], format="csr")
-    dofs, values = collect_dirichlet(velocity, problem.dirichlet)
     K, b = eliminate_dirichlet(K_raw, dofs, values, b)
     return SaddleSystem(
         velocity, pressure, A, B, K, b, dofs, values,
@@ -404,17 +417,13 @@ def compute_errors(u, p, velocity_space, pressure_space, exact_u, exact_p,
     detJ, _ = _geometry(mesh)
     scale = rule.weights[None, :] * detJ[:, None]
 
-    phys = np.einsum("qb,tbd->tqd", rule.points, mesh.vertices[mesh.cells])
+    phys = _quadrature_points(mesh, rule)
     uh = _values_at_quad(u, velocity_space, rule)
-    uex = np.array(
-        [[exact_u(x, y) for x, y in cell_pts] for cell_pts in phys]
-    )
+    uex = evaluate(exact_u, phys, 2)
     err_u = float(np.sqrt(np.sum(scale[..., None] * (uh - uex) ** 2)))
 
     ph = _values_at_quad(p, pressure_space, rule)[:, :, 0]
-    pex = np.array(
-        [[exact_p(x, y) for x, y in cell_pts] for cell_pts in phys]
-    )
+    pex = evaluate(exact_p, phys, 1)[:, :, 0]
     diff = ph - pex
     if subtract_pressure_mean:
         area = float(scale.sum())

@@ -55,18 +55,12 @@ class DenseFactorization:
             )
         self.shape = M.shape
 
-    # SciPy's getrs and getri wrappers shift the pivot array to 1-based
-    # indices in place for the duration of the call, so calls that may run
-    # concurrently on one factorization each pass their own copy.
-
     def solve(self, b):
+        # SciPy's getrs wrapper shifts the pivot array to 1-based indices in
+        # place for the duration of the call, so calls that may run
+        # concurrently on one factorization each pass their own copy.
         return scipy.linalg.lu_solve((self._lu, self._piv.copy()), b,
                                      check_finite=False)
-
-    def inverse(self):
-        """The inverse of the factored matrix, from its LU factors."""
-        inv, _ = scipy.linalg.lapack.dgetri(self._lu, self._piv.copy())
-        return inv
 
 
 def dense_lu(M):

@@ -84,9 +84,11 @@ class Mesh:
             raise MeshError("cells must be a (T, 3) array")
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell references an unknown vertex id")
-        for tri in cells:
-            if len(set(tri.tolist())) != 3:
-                raise MeshError(f"cell {tri.tolist()} has repeated vertices")
+        repeated = ((cells[:, 0] == cells[:, 1]) | (cells[:, 0] == cells[:, 2])
+                    | (cells[:, 1] == cells[:, 2]))
+        if repeated.any():
+            raise MeshError(f"cell {cells[np.argmax(repeated)].tolist()} has "
+                            f"repeated vertices")
 
         areas = _signed_areas(vertices, cells)
         if np.any(areas <= 0):
@@ -100,12 +102,13 @@ class Mesh:
         if not used.all():
             raise MeshError(f"dangling vertex ids: {np.flatnonzero(~used).tolist()}")
 
-        edges, cell_edges, edge_cells = _derive_edges(cells)
+        edges, cell_edges = _derive_edges(cells)
+        edge_cells = _grouped(cell_edges.ravel(),
+                              np.repeat(np.arange(len(cells)), 3), len(edges))
 
         markers = dict(boundary_edge_markers or {})
-        boundary = frozenset(
-            int(e) for e in range(len(edges)) if len(edge_cells[e]) == 1
-        )
+        boundary = frozenset(  # edges of one cell
+            np.flatnonzero(np.diff(edge_cells[0]) == 1).tolist())
         for eid in markers:
             if eid not in boundary:
                 raise MeshError(f"marker assigned to non-boundary edge {eid}")
@@ -127,9 +130,12 @@ class Mesh:
         self.parent_cell = parent_cell
         self._edge_cells = edge_cells
         self._boundary_edges = boundary
-        self._vertex_edges, self._vertex_cells = _vertex_incidence(
-            len(vertices), edges, cells
-        )
+        self._vertex_edges = _grouped(edges.ravel(),
+                                      np.repeat(np.arange(len(edges)), 2),
+                                      len(vertices))
+        self._vertex_cells = _grouped(cells.ravel(),
+                                      np.repeat(np.arange(len(cells)), 3),
+                                      len(vertices))
         for arr in (self.vertices, self.cells, self.edges, self.cell_edges):
             arr.flags.writeable = False
         if parent_cell is not None:
@@ -156,20 +162,14 @@ class Mesh:
 
     def edge_id(self, a, b):
         """Edge id of the (unordered) vertex pair, or raise KeyError."""
-        return self._edge_lookup[(min(a, b), max(a, b))]
-
-    @property
-    def _edge_lookup(self):
-        try:
-            return self.__edge_lookup
-        except AttributeError:
-            self.__edge_lookup = {
-                (int(e[0]), int(e[1])): i for i, e in enumerate(self.edges)
-            }
-            return self.__edge_lookup
+        e = int(_edge_ids(self.edges, a, b))
+        if e == self.num_edges or self.edges[e].tolist() != sorted((a, b)):
+            raise KeyError((min(a, b), max(a, b)))
+        return e
 
     def cells_of_edge(self, e):
-        return self._edge_cells[e]
+        offsets, cells = self._edge_cells
+        return tuple(cells[offsets[e]:offsets[e + 1]].tolist())
 
     def signed_areas(self):
         return _signed_areas(self.vertices, self.cells)
@@ -189,40 +189,30 @@ def _signed_areas(vertices, cells):
 
 
 def _derive_edges(cells):
-    """Deduplicated edge table in lexicographic (sorted-pair) order."""
-    pairs = set()
-    for tri in cells:
-        for i, j in LOCAL_EDGES:
-            a, b = int(tri[i]), int(tri[j])
-            pairs.add((min(a, b), max(a, b)))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    lookup = {tuple(e): i for i, e in enumerate(edges.tolist())}
-
-    cell_edges = np.empty((len(cells), 3), dtype=np.int64)
-    edge_cells = [[] for _ in range(len(edges))]
-    for t, tri in enumerate(cells):
-        for le, (i, j) in enumerate(LOCAL_EDGES):
-            a, b = int(tri[i]), int(tri[j])
-            e = lookup[(min(a, b), max(a, b))]
-            cell_edges[t, le] = e
-            edge_cells[e].append(t)
-    edge_cells = [tuple(c) for c in edge_cells]
-    return edges, cell_edges, edge_cells
+    """Deduplicated edge table in lexicographic (sorted-pair) order, and the
+    edge id of every local edge of every cell."""
+    pairs = np.sort(cells[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
+    n = int(cells.max()) + 1 if cells.size else 1
+    keys, cell_edges = np.unique(pairs[:, 0] * n + pairs[:, 1],
+                                 return_inverse=True)
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    return edges, cell_edges.reshape(len(cells), 3)
 
 
-def _vertex_incidence(nv, edges, cells):
-    vertex_edges = [[] for _ in range(nv)]
-    for e, (a, b) in enumerate(edges):
-        vertex_edges[a].append(e)
-        vertex_edges[b].append(e)
-    vertex_cells = [[] for _ in range(nv)]
-    for t, tri in enumerate(cells):
-        for v in tri:
-            vertex_cells[v].append(t)
-    return (
-        [np.array(sorted(v), dtype=np.int64) for v in vertex_edges],
-        [np.array(sorted(v), dtype=np.int64) for v in vertex_cells],
-    )
+def _grouped(owners, members, n):
+    """(offsets, members sorted by owner then value): the members of owner
+    i are members[offsets[i]:offsets[i + 1]]."""
+    order = np.lexsort((members, owners))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owners,
+                                                         minlength=n))])
+    return offsets, members[order]
+
+
+def _edge_ids(edges, a, b):
+    """Ids of the edges {a, b} in a lexicographically sorted edge table."""
+    n = int(edges.max()) + 1
+    keys = edges[:, 0] * n + edges[:, 1]
+    return np.searchsorted(keys, np.minimum(a, b) * n + np.maximum(a, b))
 
 
 # -- constructors ----------------------------------------------------------
@@ -273,6 +263,25 @@ def generate_structured_grid(n, domain=((0.0, 0.0), (1.0, 1.0))):
     return Mesh(vertices, cells, markers)
 
 
+def _child_mesh(parent, vertices, cells, kind, marked_pairs):
+    """The refinement of `parent` with the given cells, built once; each
+    parent boundary marker goes to the child edges listed for it in
+    `marked_pairs` ((a, b) vertex-id arrays, one column per marked parent
+    edge, in marker order)."""
+    per_parent = len(cells) // parent.num_cells
+    child = Mesh(vertices, cells, parent=parent,
+                 parent_cell=np.repeat(np.arange(parent.num_cells,
+                                                 dtype=np.int64), per_parent))
+    a, b = marked_pairs
+    ids = _edge_ids(child.edges, a, b)
+    marks = np.array(list(parent.boundary_edge_markers.values()))
+    # markers only ever land on boundary edges, which Mesh would check
+    child.boundary_edge_markers = dict(
+        zip(ids.T.ravel().tolist(), np.repeat(marks, len(ids)).tolist()))
+    child.refinement_kind = kind
+    return child
+
+
 def refine_uniform(mesh):
     """Quadrisect every cell through its edge midpoints.
 
@@ -283,29 +292,16 @@ def refine_uniform(mesh):
     V = mesh.num_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-
-    cells = np.empty((4 * mesh.num_cells, 3), dtype=np.int64)
-    parent_cell = np.repeat(np.arange(mesh.num_cells, dtype=np.int64), 4)
-    for t, tri in enumerate(mesh.cells):
-        a, b, c = (int(v) for v in tri)
-        mab = V + mesh.cell_edges[t, 0]
-        mac = V + mesh.cell_edges[t, 1]
-        mbc = V + mesh.cell_edges[t, 2]
-        cells[4 * t + 0] = (a, mab, mac)
-        cells[4 * t + 1] = (b, mbc, mab)
-        cells[4 * t + 2] = (c, mac, mbc)
-        cells[4 * t + 3] = (mab, mbc, mac)
-
-    child = Mesh(vertices, cells, parent=mesh, parent_cell=parent_cell)
-    markers = {}
-    for e, marker in mesh.boundary_edge_markers.items():
-        a, b = mesh.edges[e]
-        m = V + e
-        markers[child.edge_id(int(a), m)] = marker
-        markers[child.edge_id(m, int(b))] = marker
-    out = Mesh(vertices, cells, markers, parent=mesh, parent_cell=parent_cell)
-    out.refinement_kind = "uniform"
-    return out
+    a, b, c = mesh.cells.T
+    mab, mac, mbc = (V + mesh.cell_edges).T
+    # children 4t .. 4t + 3 of cell t, row by row
+    cells = np.stack([a, mab, mac, b, mbc, mab, c, mac, mbc, mab, mbc, mac],
+                     axis=1).reshape(-1, 3)
+    marked = np.array(list(mesh.boundary_edge_markers), dtype=np.int64)
+    ea, eb = mesh.edges[marked].T
+    m = V + marked
+    return _child_mesh(mesh, vertices, cells, "uniform",
+                       (np.stack([ea, m]), np.stack([m, eb])))
 
 
 def refine_barycentric(mesh):
@@ -317,24 +313,12 @@ def refine_barycentric(mesh):
     V = mesh.num_vertices
     bary = mesh.vertices[mesh.cells].mean(axis=1)
     vertices = np.vstack([mesh.vertices, bary])
-
-    cells = np.empty((3 * mesh.num_cells, 3), dtype=np.int64)
-    parent_cell = np.repeat(np.arange(mesh.num_cells, dtype=np.int64), 3)
-    for t, tri in enumerate(mesh.cells):
-        a, b, c = (int(v) for v in tri)
-        z = V + t
-        cells[3 * t + 0] = (a, b, z)
-        cells[3 * t + 1] = (b, c, z)
-        cells[3 * t + 2] = (c, a, z)
-
-    child = Mesh(vertices, cells, parent=mesh, parent_cell=parent_cell)
-    markers = {}
-    for e, marker in mesh.boundary_edge_markers.items():
-        a, b = mesh.edges[e]
-        markers[child.edge_id(int(a), int(b))] = marker
-    out = Mesh(vertices, cells, markers, parent=mesh, parent_cell=parent_cell)
-    out.refinement_kind = "barycentric"
-    return out
+    a, b, c = mesh.cells.T
+    z = V + np.arange(mesh.num_cells, dtype=np.int64)
+    cells = np.stack([a, b, z, b, c, z, c, a, z], axis=1).reshape(-1, 3)
+    marked = np.array(list(mesh.boundary_edge_markers), dtype=np.int64)
+    return _child_mesh(mesh, vertices, cells, "barycentric",
+                       mesh.edges[marked].T[:, None])
 
 
 # -- topology queries ------------------------------------------------------
@@ -343,10 +327,12 @@ def vertex_star(mesh, v):
     """The vertex itself plus every incident edge and cell."""
     if not 0 <= v < mesh.num_vertices:
         raise MeshError(f"invalid vertex id {v}")
+    (edge_offsets, edges), (cell_offsets, cells) = (mesh._vertex_edges,
+                                                    mesh._vertex_cells)
     return EntitySet(
         vertices=np.array([v], dtype=np.int64),
-        edges=mesh._vertex_edges[v],
-        cells=mesh._vertex_cells[v],
+        edges=edges[edge_offsets[v]:edge_offsets[v + 1]],
+        cells=cells[cell_offsets[v]:cell_offsets[v + 1]],
     )
 
 

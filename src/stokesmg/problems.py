@@ -13,16 +13,19 @@ Each factory returns a :class:`~stokesmg.assembly.ProblemInstance` whose
 ``refinements`` field records the intended number of uniform refinements
 between the base mesh and the finest solve mesh. Factories are pure and
 deterministic: the same arguments always produce identical meshes, DoF
-numbering, and operators.
+numbering, and operators. Boundary data, forcing and exact solutions are
+written with NumPy ufuncs, so they take coordinate arrays (or scalars), as
+the assembly calls them.
 """
 
-import math
 import os
+
+import numpy as np
 
 from .assembly import ProblemInstance
 from .mesh import generate_structured_grid, load_mesh
 
-_PI = math.pi
+_PI = np.pi
 
 #: Default directory of bundled mesh files.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -92,23 +95,23 @@ def backward_facing_step(refinements, k, family="th", mesh_dir=None):
 def _manufactured_velocity(x, y):
     # curl of the stream function psi = sin^2(pi x) sin^2(pi y)
     return (
-        _PI * math.sin(_PI * x) ** 2 * math.sin(2 * _PI * y),
-        -_PI * math.sin(2 * _PI * x) * math.sin(_PI * y) ** 2,
+        _PI * np.sin(_PI * x) ** 2 * np.sin(2 * _PI * y),
+        -_PI * np.sin(2 * _PI * x) * np.sin(_PI * y) ** 2,
     )
 
 
 def _manufactured_pressure(x, y):
     # zero mean over [-1, 1]^2 as given: both factors integrate to zero
-    return math.sin(_PI * x) * math.cos(_PI * y)
+    return np.sin(_PI * x) * np.cos(_PI * y)
 
 
 def _manufactured_forcing(x, y):
-    lap_u1 = (2 * _PI**3 * math.cos(2 * _PI * x) * math.sin(2 * _PI * y)
-              - 4 * _PI**3 * math.sin(_PI * x) ** 2 * math.sin(2 * _PI * y))
-    lap_u2 = (4 * _PI**3 * math.sin(2 * _PI * x) * math.sin(_PI * y) ** 2
-              - 2 * _PI**3 * math.sin(2 * _PI * x) * math.cos(2 * _PI * y))
-    dp_dx = _PI * math.cos(_PI * x) * math.cos(_PI * y)
-    dp_dy = -_PI * math.sin(_PI * x) * math.sin(_PI * y)
+    lap_u1 = (2 * _PI**3 * np.cos(2 * _PI * x) * np.sin(2 * _PI * y)
+              - 4 * _PI**3 * np.sin(_PI * x) ** 2 * np.sin(2 * _PI * y))
+    lap_u2 = (4 * _PI**3 * np.sin(2 * _PI * x) * np.sin(_PI * y) ** 2
+              - 2 * _PI**3 * np.sin(2 * _PI * x) * np.cos(2 * _PI * y))
+    dp_dx = _PI * np.cos(_PI * x) * np.cos(_PI * y)
+    dp_dy = -_PI * np.sin(_PI * x) * np.sin(_PI * y)
     return (-lap_u1 + dp_dx, -lap_u2 + dp_dy)
 
 

@@ -11,19 +11,29 @@ preconditioner) take velocity DoFs on the star only. W_i is the inverse
 patch-multiplicity of each DoF, so the weights of a DoF across patches sum
 to one.
 
-Factoring stores the smoother as `blocks`, one `(I, X)` pair per distinct
-patch size m: `I` (p, m) stacks the index lists of the p patches of that
-size and `X` (p, m, m) their weighted inverses W_i inv(K(i)). A sweep is
-then one stacked product and one scatter-add per size, with no per-patch
-Python work.
+All patches of a level come from one pass over (cell, local vertex, local
+node) triples: a static per-element mask says which nodes lie in the star
+of each local vertex, and one sort of the (vertex, DoF) pairs groups them
+into index lists.
+
+The operator must be symmetric, as every operator assembled here is:
+each patch matrix is inverted through its Bunch-Kaufman LDL^T
+factorization (LAPACK dsytrf + dsytri), half the work of LU + inversion,
+and a nonsymmetric K is rejected with a ValueError. Factoring stores the
+smoother as `blocks`, one `(I, X)` pair per distinct patch size m: `I`
+(p, m) stacks the index lists of the p patches of that size and `X`
+(p, m, m) their weighted inverses W_i inv(K(i)). A sweep is then one
+stacked product and one scatter-add per size, with no per-patch Python
+work.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri
 
-from .linalg import SingularMatrixError, dense_lu
-from .mesh import closure, vertex_star
+from .linalg import SingularMatrixError
+from .reference import LOCAL_EDGES
 
 __all__ = [
     "PatchSet",
@@ -32,6 +42,15 @@ __all__ = [
     "factor_patches",
     "asm_apply",
 ]
+
+#: Largest |K - K^T| entry, relative to max|K|, that `factor_patches`
+#: accepts; LDL^T reads only one triangle of each patch matrix.
+SYMMETRY_TOL = 1e-12
+
+# Chunk bounds of the patch-matrix gather: patch rows per chunk, and entries
+# of the int32 (patch, DoF) -> position table.
+GATHER_ROWS = 4096
+GATHER_TABLE = 1 << 20
 
 
 class PatchSet:
@@ -48,6 +67,53 @@ class PatchSet:
         return len(self.indices)
 
 
+def _star_nodes(element, closed):
+    """(3, n) mask: element node j lies in the vertex star of local vertex i.
+
+    The open star holds the vertex, its two incident edges and the cell
+    interior; the closed star (`closed`) holds every node of the cell, as
+    does any discontinuous element, whose nodes all belong to the cell.
+    """
+    mask = np.ones((3, element.num_nodes), dtype=bool)
+    if closed:
+        return mask
+    for node, (kind, local) in enumerate(element.node_entity):
+        if kind == "vertex":
+            mask[:, node] = np.arange(3) == local
+        elif kind == "edge":
+            mask[:, node] = np.isin(np.arange(3), LOCAL_EDGES[local])
+    return mask
+
+
+def _vertex_dof_pairs(mesh, space, closed, offset=0):
+    """(vertex, DoF) for every DoF in the star of every mesh vertex, from
+    cells x local vertex x local node; a DoF repeats once per cell it
+    shares with the vertex."""
+    mask = _star_nodes(space.element,
+                       closed or space.continuity == "discontinuous")
+    cell, local, node = np.nonzero(
+        np.broadcast_to(mask, (mesh.num_cells,) + mask.shape))
+    dofs = space.expand_components(space.cell_scalar_dofs[cell, node][:, None])
+    vertices = np.broadcast_to(mesh.cells[cell, local][:, None], dofs.shape)
+    return vertices.ravel(), offset + dofs.ravel()
+
+
+def _patch_set(n, pairs, dirichlet_dofs):
+    """One sorted, duplicate-free index list per vertex from (vertex, DoF)
+    pairs, without `dirichlet_dofs`; vertices left empty get no patch."""
+    vertices = np.concatenate([v for v, _ in pairs])
+    dofs = np.concatenate([d for _, d in pairs])
+    excluded = np.zeros(n, dtype=bool)
+    excluded[np.asarray(dirichlet_dofs, dtype=np.int64)] = True
+    keep = ~excluded[dofs]
+    keys = np.sort(vertices[keep] * n + dofs[keep])
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    vertices, dofs = np.divmod(keys, n)
+    owners, starts = np.unique(vertices, return_index=True)
+    indices = np.split(dofs, starts[1:]) if len(dofs) else []
+    return PatchSet(n, owners.tolist(), indices)
+
+
 def build_vanka_star_patches(mesh, velocity_space, pressure_space,
                              dirichlet_dofs=()):
     """Monolithic patches: velocity on closure(star(v)), pressure on star(v).
@@ -56,52 +122,82 @@ def build_vanka_star_patches(mesh, velocity_space, pressure_space,
     monolithic indices to exclude; empty patches are dropped.
     """
     n_u = velocity_space.num_dofs
-    n = n_u + pressure_space.num_dofs
-    excluded = np.zeros(n, dtype=bool)
-    excluded[np.asarray(dirichlet_dofs, dtype=np.int64)] = True
-
-    vertices, indices = [], []
-    for v in range(mesh.num_vertices):
-        star = vertex_star(mesh, v)
-        cl = closure(mesh, star)
-        vel = velocity_space.expand_components(
-            velocity_space.entity_set_scalar_dofs(cl))
-        pres = n_u + pressure_space.entity_set_scalar_dofs(star)
-        idx = np.concatenate([vel, pres])
-        idx = idx[~excluded[idx]]
-        if len(idx) == 0:
-            continue
-        vertices.append(v)
-        indices.append(np.sort(idx))
-    return PatchSet(n, vertices, indices)
+    pairs = [_vertex_dof_pairs(mesh, velocity_space, closed=True),
+             _vertex_dof_pairs(mesh, pressure_space, closed=False,
+                               offset=n_u)]
+    return _patch_set(n_u + pressure_space.num_dofs, pairs, dirichlet_dofs)
 
 
 def build_star_patches(mesh, velocity_space, dirichlet_dofs=()):
     """Velocity-only patches on the vertex star (no closure ring)."""
-    n = velocity_space.num_dofs
-    excluded = np.zeros(n, dtype=bool)
-    excluded[np.asarray(dirichlet_dofs, dtype=np.int64)] = True
+    return _patch_set(velocity_space.num_dofs,
+                      [_vertex_dof_pairs(mesh, velocity_space, closed=False)],
+                      dirichlet_dofs)
 
-    vertices, indices = [], []
-    for v in range(mesh.num_vertices):
-        star = vertex_star(mesh, v)
-        idx = velocity_space.expand_components(
-            velocity_space.entity_set_scalar_dofs(star)
+
+def _ldl_invert(M, lwork):
+    """Overwrite the lower triangle of the symmetric, Fortran-ordered M
+    with that of its inverse, from the Bunch-Kaufman LDL^T factors (LAPACK
+    dsytrf, with workspace `lwork`, + dsytri).
+
+    Raises SingularMatrixError when a 1x1 or 2x2 block of D has an
+    eigenvalue of magnitude at most 1e-14 max|M|.
+    """
+    threshold = 1e-14 * max(np.abs(M).max(), 1e-300)
+    ldl, piv, _ = dsytrf(M, lower=1, lwork=lwork, overwrite_a=1)
+    d = np.diagonal(ldl)
+    pairs = np.flatnonzero(piv < 0)[::2]
+    a, c, b = d[pairs], d[pairs + 1], ldl[pairs + 1, pairs]
+    radius = np.hypot(0.5 * (a - c), b)
+    # the smaller eigenvalue magnitude of each 2x2 block, |det| / |larger|
+    small = np.abs(a * c - b * b) / np.maximum(np.abs(0.5 * (a + c)) + radius,
+                                               1e-300)
+    pivots = np.concatenate([np.abs(d[piv > 0]), small])
+    if pivots.min() <= threshold:
+        position = np.concatenate([np.flatnonzero(piv > 0), pairs])
+        raise SingularMatrixError(
+            f"singular pivot {pivots.min():.3e} at position "
+            f"{position[np.argmin(pivots)]}"
         )
-        idx = idx[~excluded[idx]]
-        if len(idx) == 0:
-            continue
-        vertices.append(v)
-        indices.append(np.sort(idx))
-    return PatchSet(n, vertices, indices)
+    inv, _ = dsytri(ldl, piv, lower=1, overwrite_a=1)
+    if inv is not M:  # the wrapper worked on a copy
+        M[...] = inv
+
+
+def _gather(K, I):
+    """Dense patch matrices K[idx][:, idx] for the rows idx of I, (p, m, m).
+
+    Works through chunks of patches: one row gather from the CSR operator,
+    then each entry's column is looked up in a (patch, DoF) -> local
+    position table, so no per-patch sparse indexing is needed.
+    """
+    p, m = I.shape
+    n = K.shape[0]
+    X = np.zeros((p, m, m))
+    chunk = max(1, min(p, GATHER_ROWS // m, GATHER_TABLE // n))
+    local = np.full((chunk, n), -1, dtype=np.int32)
+    for start in range(0, p, chunk):
+        idx = I[start:start + chunk]
+        slots = np.arange(len(idx))[:, None]
+        rows = K[idx.ravel()]
+        row_of = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+        local[slots, idx] = np.arange(m)
+        cols = local[row_of // m, rows.indices]
+        local[slots, idx] = -1
+        keep = cols >= 0
+        X[start:start + len(idx)].reshape(-1, m)[row_of[keep], cols[keep]] = \
+            rows.data[keep]
+    return X
 
 
 def factor_patches(K, patches):
     """Invert every patch submatrix of K and fold in the patch weights.
 
-    Returns a new PatchSet holding `blocks`. A singular patch matrix raises
-    an error naming the offending vertex (a sign the decomposition kept
-    constrained DoFs it should have excluded).
+    K must be symmetric (to SYMMETRY_TOL relative to its largest entry);
+    otherwise a ValueError is raised. Returns a new PatchSet holding
+    `blocks`. A singular patch matrix raises an error naming the offending
+    vertex (a sign the decomposition kept constrained DoFs it should have
+    excluded).
     """
     K = K.tocsr()
     K.sum_duplicates()
@@ -110,6 +206,10 @@ def factor_patches(K, patches):
             f"operator shape {K.shape} does not match patch dimension "
             f"{patches.n}"
         )
+    asymmetry = abs(K - K.T).max()
+    if asymmetry > SYMMETRY_TOL * abs(K).max():
+        raise ValueError("patch relaxation needs a symmetric operator; "
+                         f"K - K^T reaches {asymmetry:.3e}")
     multiplicity = np.bincount(
         np.concatenate([np.empty(0, dtype=np.intp), *patches.indices]),
         minlength=patches.n,
@@ -119,17 +219,21 @@ def factor_patches(K, patches):
     for m in np.unique(sizes):
         members = np.flatnonzero(sizes == m)
         I = np.stack([patches.indices[i] for i in members])
-        X = np.empty((len(members), m, m))
-        for slot, (i, idx) in enumerate(zip(members, I)):
+        X = _gather(K, I)
+        lower = np.tri(m, k=-1, dtype=bool)
+        lwork = max(int(dsytrf_lwork(m, lower=1)[0]), 1)  # blocked dsytrf
+        for i, x in zip(members, X):
             try:
-                lu = dense_lu(K[idx][:, idx].toarray())
+                # x.T is the Fortran-ordered view of the slot: its lower
+                # triangle, inverted in place, is the upper one of x
+                _ldl_invert(x.T, lwork)
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"singular patch matrix at vertex "
                     f"{patches.vertices[i]}: {exc}"
                 ) from exc
-            X[slot] = lu.inverse()
-            X[slot] *= (1.0 / multiplicity[idx])[:, None]
+            np.copyto(x, x.T, where=lower)
+        X *= (1.0 / multiplicity[I])[:, :, None]
         blocks.append((I, X))
     return PatchSet(patches.n, list(patches.vertices),
                     list(patches.indices), blocks)

@@ -114,7 +114,9 @@ class MGLevel:
     this one (None on the coarsest). `kind` tags the level as p- or
     h-coarsened, which picks the sweep count and where the inner-cycle
     count applies. For monolithic levels `system` is the full saddle
-    assembly; velocity-only levels carry just `space`.
+    assembly; velocity-only levels carry `space`, the operator `A` before
+    Dirichlet elimination and the `dirichlet_values`, from which the FBF
+    outer system shares its velocity block.
     """
 
     K: object
@@ -129,6 +131,8 @@ class MGLevel:
     dirichlet_dofs: np.ndarray
     system: object = None
     space: object = None
+    A: object = None
+    dirichlet_values: np.ndarray = None
 
     @property
     def n(self):
@@ -278,7 +282,8 @@ def _build_level(problem, spec, is_coarsest, nu_p, nu_h):
     if spec.family is not None:
         system = assemble_stokes(problem, spec.mesh, k=spec.k,
                                  family=spec.family)
-        K, dirichlet, space = system.K, system.dirichlet_dofs, None
+        K, dirichlet = system.K, system.dirichlet_dofs
+        space = A = values = None
     else:
         system = None
         space = build_space(spec.mesh, spec.k, "continuous", components=2)
@@ -306,7 +311,8 @@ def _build_level(problem, spec, is_coarsest, nu_p, nu_h):
     return MGLevel(
         K=K, patches=patches, nu=nu, lambda_max=lam, P=None, kind=spec.kind,
         family=spec.family, k=spec.k, mesh=spec.mesh,
-        dirichlet_dofs=dirichlet, system=system, space=space,
+        dirichlet_dofs=dirichlet, system=system, space=space, A=A,
+        dirichlet_values=values,
     )
 
 
@@ -468,17 +474,17 @@ class FBFPreconditioner:
 def _blockwise_mass_solver(pressure_space, M):
     """Exact solver for a cell-block-diagonal (discontinuous) mass matrix.
 
-    Factors each cell block independently; with cell-by-cell DoF numbering
-    the blocks are contiguous index ranges.
+    Inverts each cell block independently; with cell-by-cell DoF numbering
+    the blocks are contiguous index ranges, so the row-sorted entries of
+    the assembled M (every block entry stored) are the blocks themselves.
     """
     T = pressure_space.mesh.num_cells
     m = pressure_space.element.num_nodes
-    blocks = np.empty((T, m, m))
-    M = M.tocsr()
-    for t in range(T):
-        idx = np.arange(t * m, (t + 1) * m)
-        blocks[t] = M[idx][:, idx].toarray()
-    inverses = np.linalg.inv(blocks)
+    M = M.tocsr(copy=True)
+    M.sort_indices()
+    if M.nnz != T * m * m:
+        raise ValueError("mass matrix does not store full cell blocks")
+    inverses = np.linalg.inv(M.data.reshape(T, m, m))
 
     def solve(r):
         return np.einsum("tij,tj->ti", inverses, r.reshape(T, m)).ravel()
@@ -561,7 +567,8 @@ def build_solver(problem, refinements, solver, n_V=None, nu_p=None,
     its cycle. The FBF variants pair a velocity-only hierarchy
     (h-coarsened, or p-then-h with the direct schedule) with the
     pressure-mass Schur approximation; the outer saddle system is assembled
-    on the velocity hierarchy's finest mesh.
+    on the velocity hierarchy's finest mesh and shares that level's velocity
+    space, Laplacian and Dirichlet data.
     """
     if solver in HIERARCHY_CYCLES:
         h = build_hierarchy(problem, refinements, solver, n_V=n_V, nu_p=nu_p,
@@ -571,7 +578,10 @@ def build_solver(problem, refinements, solver, n_V=None, nu_p=None,
         cycle = "hmg" if solver == "fbf-hmg" else "phmg-direct"
         inner = build_hierarchy(problem, refinements, cycle, monolithic=False,
                                 n_V=n_V, nu_p=nu_p, nu_h=nu_h)
-        system = assemble_stokes(problem, inner.levels[0].mesh)
+        top = inner.levels[0]
+        system = assemble_stokes(
+            problem, top.mesh, _velocity=(top.space, top.A, top.dirichlet_dofs,
+                                          top.dirichlet_values))
         return system, build_fbf(system, inner)
     raise ValueError(f"unknown solver {solver!r}; pick from {SOLVER_NAMES}")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .reference import LOCAL_EDGES, _element_any_degree
 
-__all__ = ["FunctionSpace", "build_space"]
+__all__ = ["FunctionSpace", "build_space", "evaluate"]
 
 CONTINUOUS = "continuous"
 DISCONTINUOUS = "discontinuous"
@@ -106,17 +106,29 @@ class FunctionSpace:
         return np.unique(np.concatenate(dofs))
 
     def interpolate(self, f):
-        """Nodal interpolation; f(x, y) returns a scalar or `components` values."""
-        out = np.empty(self.num_dofs)
-        for g, (x, y) in enumerate(self.dof_coords):
-            val = np.asarray(f(x, y), dtype=np.float64).ravel()
-            if val.size != self.components:
-                raise ValueError(
-                    f"function returned {val.size} components, expected "
-                    f"{self.components}"
-                )
-            out[self.components * g: self.components * (g + 1)] = val
-        return out
+        """Nodal interpolation of f (see :func:`evaluate`)."""
+        return evaluate(f, self.dof_coords, self.components).ravel()
+
+
+def evaluate(f, points, components):
+    """Values of the callback f at `points` (..., 2), as (..., components).
+
+    f is called once, on the x and y coordinate arrays. It returns one value
+    per component: a tuple or list, or an array with the components along
+    its first axis; a one-component f may return the bare value. Scalar
+    values broadcast over the points.
+    """
+    shape = points.shape[:-1]
+    out = f(points[..., 0], points[..., 1])
+    parts = (list(out) if isinstance(out, (tuple, list))
+             or np.ndim(out) > len(shape) else [out])
+    if len(parts) != components:
+        raise ValueError(
+            f"function returned {len(parts)} components, expected "
+            f"{components}"
+        )
+    return np.stack([np.broadcast_to(np.asarray(v, dtype=np.float64), shape)
+                     for v in parts], axis=-1)
 
 
 def build_space(mesh, k, continuity, components=1):
@@ -131,15 +143,15 @@ def build_space(mesh, k, continuity, components=1):
     elem = _element_any_degree(k)
     n_local = elem.num_nodes
     T = mesh.num_cells
+    # physical node coordinates, cell by cell: (T, n_local, 2)
+    nodes = np.einsum("nb,tbd->tnd", elem.nodes_bary,
+                      mesh.vertices[mesh.cells])
 
     if continuity == DISCONTINUOUS:
         cell_scalar = np.arange(T * n_local, dtype=np.int64).reshape(T, n_local)
-        num_scalar = T * n_local
-        coords = np.empty((num_scalar, 2))
-        for t in range(T):
-            coords[cell_scalar[t]] = _physical_nodes(mesh, t, elem)
         return FunctionSpace(mesh, k, continuity, components, elem,
-                             cell_scalar, num_scalar, coords)
+                             cell_scalar, T * n_local,
+                             nodes.reshape(-1, 2))
 
     V, E = mesh.num_vertices, mesh.num_edges
     n_edge = k - 1
@@ -147,26 +159,18 @@ def build_space(mesh, k, continuity, components=1):
     num_scalar = V + E * n_edge + T * n_int
 
     cell_scalar = np.empty((T, n_local), dtype=np.int64)
-    for t in range(T):
-        tri = mesh.cells[t]
-        cell_scalar[t, elem.vertex_nodes] = tri
-        for le, (i, j) in enumerate(LOCAL_EDGES):
-            e = mesh.cell_edges[t, le]
-            slots = np.arange(n_edge, dtype=np.int64)
-            if tri[i] > tri[j]:
-                slots = slots[::-1]
-            cell_scalar[t, elem.edge_nodes[le]] = V + e * n_edge + slots
-        base = V + E * n_edge + t * n_int
-        cell_scalar[t, elem.interior_nodes] = base + np.arange(n_int)
+    cell_scalar[:, elem.vertex_nodes] = mesh.cells
+    slots = np.arange(n_edge, dtype=np.int64)
+    for le, (i, j) in enumerate(LOCAL_EDGES):
+        # edge nodes run from the lower global vertex id to the higher
+        flip = mesh.cells[:, i] > mesh.cells[:, j]
+        local = np.where(flip[:, None], slots[::-1], slots)
+        cell_scalar[:, elem.edge_nodes[le]] = (
+            V + mesh.cell_edges[:, le, None] * n_edge + local)
+    cell_scalar[:, elem.interior_nodes] = (
+        V + E * n_edge + np.arange(T)[:, None] * n_int + np.arange(n_int))
 
     coords = np.empty((num_scalar, 2))
-    for t in range(T):
-        coords[cell_scalar[t]] = _physical_nodes(mesh, t, elem)
+    coords[cell_scalar.ravel()] = nodes.reshape(-1, 2)
     return FunctionSpace(mesh, k, continuity, components, elem,
                          cell_scalar, num_scalar, coords)
-
-
-def _physical_nodes(mesh, t, elem):
-    tri = mesh.vertices[mesh.cells[t]]
-    lam = elem.nodes_bary
-    return lam @ tri

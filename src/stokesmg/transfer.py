@@ -7,6 +7,10 @@ degrees, continuous inside discontinuous), this evaluation is an exact
 injection and no mass-matrix solves are needed. Restriction is the
 transpose.
 
+Each fine node is evaluated in the first cell (in cell order) that holds
+it, and all nodes of one transfer are mapped, tabulated and assembled in
+one batch.
+
 Dirichlet filtering is deliberately a separate step from construction: the
 raw operators satisfy the partition-of-unity row-sum property, and the
 multigrid hierarchy zeroes eliminated rows/columns afterwards.
@@ -35,15 +39,21 @@ def _expand_components(P, components):
     return sp.kron(P, sp.eye(components), format="csr")
 
 
-def _scalar_rows(space):
-    return space.num_scalar_dofs
+def _first_owners(space):
+    """(scalar DoF ids, first cell holding each, its local node there)."""
+    n_local = space.cell_scalar_dofs.shape[1]
+    dofs, first = np.unique(space.cell_scalar_dofs, return_index=True)
+    return dofs, first // n_local, first % n_local
 
 
-def _inverse_map(mesh, cell, points):
-    """Physical points -> reference coordinates of `cell`."""
-    tri = mesh.vertices[mesh.cells[cell]]
-    J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    return np.linalg.solve(J, (points - tri[0]).T).T
+def _nodal_matrix(rows, values, cols, shape, components):
+    """Row rows[i] takes values[i] at columns cols[i]; entries at most
+    DROP_TOL in magnitude are dropped, then components are interleaved."""
+    keep = np.abs(values) > DROP_TOL
+    rows = np.broadcast_to(rows[:, None], values.shape)
+    P = sp.coo_matrix((values[keep], (rows[keep], cols[keep])),
+                      shape=shape).tocsr()
+    return _expand_components(P, components)
 
 
 def build_h_prolongation(coarse, fine):
@@ -59,30 +69,16 @@ def build_h_prolongation(coarse, fine):
             (fine.k, fine.continuity, fine.components):
         raise ValueError("h-transfer requires matching degree, continuity, "
                          "and components")
-    rows, cols, vals = [], [], []
-    visited = np.zeros(_scalar_rows(fine), dtype=bool)
-    coarse_elem = coarse.element
-    for t in range(fine.mesh.num_cells):
-        fdofs = fine.cell_scalar_dofs[t]
-        todo = ~visited[fdofs]
-        if not todo.any():
-            continue
-        parent = int(fine.mesh.parent_cell[t])
-        pts = fine.dof_coords[fdofs[todo]]
-        ref = _inverse_map(coarse.mesh, parent, pts)
-        values, _ = coarse_elem.tabulate(ref)
-        cdofs = coarse.cell_scalar_dofs[parent]
-        for local, g in enumerate(fdofs[todo]):
-            keep = np.abs(values[local]) > DROP_TOL
-            rows.extend([g] * int(keep.sum()))
-            cols.extend(cdofs[keep])
-            vals.extend(values[local][keep])
-        visited[fdofs[todo]] = True
-    P = sp.coo_matrix(
-        (vals, (rows, cols)),
-        shape=(_scalar_rows(fine), _scalar_rows(coarse)),
-    ).tocsr()
-    return _expand_components(P, fine.components)
+    dofs, cells, _ = _first_owners(fine)
+    parents = fine.mesh.parent_cell[cells]
+    tri = coarse.mesh.vertices[coarse.mesh.cells[parents]]  # (N, 3, 2)
+    J = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=-1)
+    offset = fine.dof_coords[dofs] - tri[:, 0]
+    ref = np.linalg.solve(J, offset[..., None])[..., 0]
+    values, _ = coarse.element.tabulate(ref)
+    return _nodal_matrix(dofs, values, coarse.cell_scalar_dofs[parents],
+                         (fine.num_scalar_dofs, coarse.num_scalar_dofs),
+                         fine.components)
 
 
 def build_p_prolongation(low, high):
@@ -104,24 +100,10 @@ def build_p_prolongation(low, high):
     if low.components != high.components:
         raise ValueError("component mismatch")
     values, _ = low.element.tabulate(high.element.nodes)
-    rows, cols, vals = [], [], []
-    visited = np.zeros(_scalar_rows(high), dtype=bool)
-    for t in range(high.mesh.num_cells):
-        hdofs = high.cell_scalar_dofs[t]
-        ldofs = low.cell_scalar_dofs[t]
-        for local, g in enumerate(hdofs):
-            if visited[g]:
-                continue
-            visited[g] = True
-            keep = np.abs(values[local]) > DROP_TOL
-            rows.extend([g] * int(keep.sum()))
-            cols.extend(ldofs[keep])
-            vals.extend(values[local][keep])
-    P = sp.coo_matrix(
-        (vals, (rows, cols)),
-        shape=(_scalar_rows(high), _scalar_rows(low)),
-    ).tocsr()
-    return _expand_components(P, high.components)
+    dofs, cells, nodes = _first_owners(high)
+    return _nodal_matrix(dofs, values[nodes], low.cell_scalar_dofs[cells],
+                         (high.num_scalar_dofs, low.num_scalar_dofs),
+                         high.components)
 
 
 def build_monolithic_transfer(P_vel, P_pres):
@@ -138,11 +120,11 @@ def filter_dirichlet(P, fine_dirichlet, coarse_dirichlet):
     equations were replaced by the identity.
     """
     P = P.tocsr(copy=True)
-    fine_dirichlet = np.asarray(fine_dirichlet, dtype=np.int64)
-    coarse_dirichlet = np.asarray(coarse_dirichlet, dtype=np.int64)
-    for r in fine_dirichlet:
-        P.data[P.indptr[r]: P.indptr[r + 1]] = 0.0
-    if len(coarse_dirichlet):
-        P.data[np.isin(P.indices, coarse_dirichlet)] = 0.0
+    fine = np.zeros(P.shape[0], dtype=bool)
+    fine[np.asarray(fine_dirichlet, dtype=np.int64)] = True
+    coarse = np.zeros(P.shape[1], dtype=bool)
+    coarse[np.asarray(coarse_dirichlet, dtype=np.int64)] = True
+    rows = np.repeat(fine, np.diff(P.indptr))
+    P.data[rows | coarse[P.indices]] = 0.0
     P.eliminate_zeros()
     return P

@@ -4,9 +4,16 @@ Everything here is built from explicit dense linear algebra — matrix
 inverses, matrix Chebyshev recurrences, and the displayed propagator
 formulas — independently of the sparse/iterative implementations, so the
 tests can compare the two sides at tight tolerances.
+
+The setup references at the end build patches, load vectors and transfers
+the direct way, one vertex, cell or point at a time, for comparison with
+the batched library versions.
 """
 
 import numpy as np
+import scipy.sparse as sp
+
+from stokesmg.mesh import closure, vertex_star
 
 CHEB_LOWER, CHEB_UPPER = 0.3, 1.1
 
@@ -116,3 +123,102 @@ def probe_columns(apply_fn, n):
         M[:, j] = apply_fn(e)
         e[j] = 0.0
     return M
+
+
+# -- per-entity setup references ----------------------------------------------
+
+def loop_vanka_patches(mesh, velocity_space, pressure_space,
+                       dirichlet_dofs=()):
+    """(vertices, indices): velocity DoFs on closure(star(v)) and pressure
+    DoFs on star(v), per vertex, from the mesh queries."""
+    n_u = velocity_space.num_dofs
+    return _loop_patches(
+        mesh, n_u + pressure_space.num_dofs, dirichlet_dofs,
+        lambda star: np.concatenate([
+            velocity_space.expand_components(
+                velocity_space.entity_set_scalar_dofs(closure(mesh, star))),
+            n_u + pressure_space.entity_set_scalar_dofs(star),
+        ]))
+
+
+def loop_star_patches(mesh, velocity_space, dirichlet_dofs=()):
+    """(vertices, indices): velocity DoFs on star(v), per vertex."""
+    return _loop_patches(
+        mesh, velocity_space.num_dofs, dirichlet_dofs,
+        lambda star: velocity_space.expand_components(
+            velocity_space.entity_set_scalar_dofs(star)))
+
+
+def _loop_patches(mesh, n, dirichlet_dofs, dofs_of_star):
+    excluded = np.zeros(n, dtype=bool)
+    excluded[np.asarray(dirichlet_dofs, dtype=np.int64)] = True
+    vertices, indices = [], []
+    for v in range(mesh.num_vertices):
+        idx = dofs_of_star(vertex_star(mesh, v))
+        idx = idx[~excluded[idx]]
+        if len(idx):
+            vertices.append(v)
+            indices.append(np.sort(idx))
+    return vertices, indices
+
+
+def loop_forcing(space, forcing, rule):
+    """Load vector of a two-component body force, one cell and one
+    (scalar) callback per quadrature point at a time."""
+    b = np.zeros(space.num_dofs)
+    values, _ = space.element.tabulate(rule.xy)
+    for t in range(space.mesh.num_cells):
+        tri = space.mesh.vertices[space.mesh.cells[t]]
+        e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+        detJ = e1[0] * e2[1] - e1[1] * e2[0]
+        f = np.array([forcing(x, y) for x, y in rule.points @ tri])
+        local = np.einsum("q,qn,qc->nc", rule.weights * detJ, values, f)
+        np.add.at(b, space.cell_dofs[t].reshape(-1, 2), local)
+    return b
+
+
+def loop_h_prolongation(coarse, fine, drop_tol):
+    """Nodal h-transfer, one fine cell at a time: each fine node is
+    evaluated in the parent of the first fine cell holding it."""
+    rows, cols, vals = [], [], []
+    visited = np.zeros(fine.num_scalar_dofs, dtype=bool)
+    for t in range(fine.mesh.num_cells):
+        fdofs = fine.cell_scalar_dofs[t]
+        todo = fdofs[~visited[fdofs]]
+        visited[todo] = True
+        parent = int(fine.mesh.parent_cell[t])
+        tri = coarse.mesh.vertices[coarse.mesh.cells[parent]]
+        J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
+        for g in todo:
+            ref = np.linalg.solve(J, fine.dof_coords[g] - tri[0])
+            values, _ = coarse.element.tabulate(ref[None, :])
+            _add_row(rows, cols, vals, g, values[0],
+                     coarse.cell_scalar_dofs[parent], drop_tol)
+    return _scalar_transfer(rows, cols, vals, fine, coarse)
+
+
+def loop_p_prolongation(low, high, drop_tol):
+    """Nodal p-transfer, one cell at a time."""
+    values, _ = low.element.tabulate(high.element.nodes)
+    rows, cols, vals = [], [], []
+    visited = np.zeros(high.num_scalar_dofs, dtype=bool)
+    for t in range(high.mesh.num_cells):
+        for local, g in enumerate(high.cell_scalar_dofs[t]):
+            if not visited[g]:
+                visited[g] = True
+                _add_row(rows, cols, vals, g, values[local],
+                         low.cell_scalar_dofs[t], drop_tol)
+    return _scalar_transfer(rows, cols, vals, high, low)
+
+
+def _add_row(rows, cols, vals, g, values, dofs, drop_tol):
+    keep = np.abs(values) > drop_tol
+    rows.extend([g] * int(keep.sum()))
+    cols.extend(dofs[keep])
+    vals.extend(values[keep])
+
+
+def _scalar_transfer(rows, cols, vals, fine, coarse):
+    P = sp.coo_matrix((vals, (rows, cols)),
+                      shape=(fine.num_scalar_dofs, coarse.num_scalar_dofs))
+    return sp.kron(P.tocsr(), sp.eye(fine.components), format="csr")

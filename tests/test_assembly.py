@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import cavity_problem, pinned_solve, poiseuille_problem
+from dense_oracles import loop_forcing
 from stokesmg.assembly import (
     ProblemInstance,
+    _assemble_forcing,
     assemble_pressure_mass,
     assemble_stokes,
     cellwise_divergence,
@@ -13,6 +15,7 @@ from stokesmg.assembly import (
     eliminate_dirichlet,
 )
 from stokesmg.mesh import Mesh, generate_structured_grid, refine_barycentric, refine_uniform
+from stokesmg.problems import backward_facing_step, manufactured
 from stokesmg.quadrature import quadrature_rule
 from stokesmg.spaces import build_space
 
@@ -112,6 +115,25 @@ class TestStokesAssembly:
         assert np.allclose(system.b[system.dirichlet_dofs],
                            system.dirichlet_values)
 
+    def test_elimination_needs_stored_diagonal(self):
+        K = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
+        K.eliminate_zeros()
+        with pytest.raises(ValueError, match="no stored diagonal for "
+                                             "Dirichlet DoF 1"):
+            eliminate_dirichlet(K, [0, 1], [0.0, 0.0])
+
+    def test_later_marker_wins_at_shared_vertices(self):
+        mesh = generate_structured_grid(2)
+        g = {m: (lambda x, y, m=m: (float(m), 0.0)) for m in (1, 2, 3, 4)}
+        system = assemble_stokes(ProblemInstance("markers", mesh, "th", 2, g),
+                                 mesh)
+        values = dict(zip(system.dirichlet_dofs.tolist(),
+                          system.dirichlet_values.tolist()))
+        corners = {(0.0, 0.0): 4, (1.0, 0.0): 2, (0.0, 1.0): 4, (1.0, 1.0): 3}
+        for g_dof, xy in enumerate(system.velocity_space.dof_coords):
+            if tuple(xy) in corners:
+                assert values[2 * g_dof] == corners[tuple(xy)]
+
     def test_nullspace_vector_exact(self):
         prob = cavity_problem(k=3)
         system = assemble_stokes(prob, prob.base_mesh)
@@ -140,6 +162,35 @@ class TestStokesAssembly:
         K_raw.sum_duplicates()
         assert system.K.nnz == K_raw.nnz
         assert np.array_equal(system.K.indices, K_raw.indices)
+
+
+class TestForcing:
+    def test_matches_per_cell_assembly(self):
+        prob = manufactured(1, 4)
+        # cells of every size and shape: the unstructured step mesh
+        step = backward_facing_step(0, 2).base_mesh
+        for mesh in (refine_barycentric(prob.base_mesh), step):
+            space = build_space(mesh, 4, "continuous", components=2)
+            rule = quadrature_rule(8)
+            b = _assemble_forcing(space, prob.forcing, rule)
+            expected = loop_forcing(space, prob.forcing, rule)
+            assert np.abs(b - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_one_call_on_arrays_and_scalars_broadcast(self):
+        calls = []
+
+        def force(x, y):
+            calls.append(np.shape(x))
+            return 1.0, 0.0
+
+        mesh = generate_structured_grid(2)
+        space = build_space(mesh, 2, "continuous", components=2)
+        rule = quadrature_rule(4)
+        b = _assemble_forcing(space, force, rule)
+        assert calls == [(mesh.num_cells, len(rule.weights))]
+        # a constant force integrates each basis function once
+        assert b[0::2].sum() == pytest.approx(1.0)
+        assert np.all(b[1::2] == 0.0)
 
 
 class TestNeumann:

@@ -68,6 +68,11 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="counterclockwise"):
             Mesh(np.array(verts), np.array([[0, 2, 1]]))
 
+    def test_rejects_repeated_vertex(self):
+        verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        with pytest.raises(MeshError, match=r"cell \[1, 2, 1\] has repeated"):
+            Mesh(np.array(verts), np.array([[0, 1, 2], [1, 2, 1]]))
+
     def test_rejects_dangling_vertex(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
         with pytest.raises(MeshError, match="dangling"):

@@ -3,9 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import cavity_problem
+from dense_oracles import loop_star_patches, loop_vanka_patches
 from stokesmg.assembly import assemble_stokes, assemble_vector_laplacian
 from stokesmg.linalg import SingularMatrixError, estimate_lambda_max
-from stokesmg.mesh import generate_structured_grid
+from stokesmg.mesh import (
+    generate_structured_grid,
+    refine_barycentric,
+    refine_uniform,
+)
 from stokesmg.relaxation import (
     PatchSet,
     asm_apply,
@@ -111,6 +116,47 @@ class TestStarPatches:
         assert covered.all()
 
 
+def assert_same_patches(patches, reference):
+    vertices, indices = reference
+    assert patches.vertices == vertices
+    assert len(patches.indices) == len(indices)
+    for got, expected in zip(patches.indices, indices):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+class TestPatchesMatchPerVertexBuild:
+    """The batched builders give exactly the patches of the per-vertex
+    star/closure queries."""
+
+    def test_taylor_hood_vanka(self):
+        prob = cavity_problem(k=3)
+        mesh = refine_uniform(prob.base_mesh)
+        system = assemble_stokes(prob, mesh)
+        args = (mesh, system.velocity_space, system.pressure_space,
+                system.dirichlet_dofs)
+        assert_same_patches(build_vanka_star_patches(*args),
+                            loop_vanka_patches(*args))
+
+    def test_scott_vogelius_vanka(self):
+        prob = cavity_problem(k=4, family="sv")
+        mesh = refine_barycentric(prob.base_mesh)
+        system = assemble_stokes(prob, mesh)
+        args = (mesh, system.velocity_space, system.pressure_space,
+                system.dirichlet_dofs)
+        assert_same_patches(build_vanka_star_patches(*args),
+                            loop_vanka_patches(*args))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_star(self, k):
+        mesh = refine_uniform(generate_structured_grid(2))
+        vel = build_space(mesh, k, "continuous", components=2)
+        dirichlet = vel.expand_components(vel.boundary_scalar_dofs())
+        for excluded in ((), dirichlet):
+            assert_same_patches(build_star_patches(mesh, vel, excluded),
+                                loop_star_patches(mesh, vel, excluded))
+
+
 class TestFactorPatches:
     def test_diagonal_operator(self):
         mesh = generate_structured_grid(1)
@@ -179,6 +225,25 @@ class TestFactorPatches:
         with pytest.raises(SingularMatrixError, match="vertex"):
             factor_patches(sp.csr_matrix(dense), patches)
 
+    def test_nonsymmetric_operator_rejected(self):
+        K = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                    [0.0, 2.0, 0.0],
+                                    [0.0, 0.0, 2.0]]))
+        patches = PatchSet(3, [0, 1], [np.array([0, 1]), np.array([1, 2])])
+        with pytest.raises(ValueError, match="symmetric"):
+            factor_patches(K, patches)
+
+    def test_indefinite_patches_use_two_by_two_pivots(self):
+        # Saddle-point patches have zero diagonals, so LDL^T must pivot
+        # with 2x2 blocks (this one factors as one 2x2 and one 1x1 block);
+        # the inverse still matches the dense one.
+        K = sp.csr_matrix(np.array([[0.0, 1.0, 0.0],
+                                    [1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 2.0]]))
+        factored = factor_patches(K, PatchSet(3, [0], [np.arange(3)]))
+        (_, X), = factored.blocks
+        assert np.allclose(X[0], np.linalg.inv(K.toarray()), atol=1e-14)
+
     def test_shape_mismatch(self):
         mesh = generate_structured_grid(1)
         vel = build_space(mesh, 1, "continuous", components=2)
@@ -204,7 +269,8 @@ class TestAsmApply:
 
     def test_block_jacobi_on_block_diagonal(self):
         rng = np.random.default_rng(41)
-        blocks = [rng.standard_normal((3, 3)) + 3 * np.eye(3) for _ in range(4)]
+        blocks = [g + g.T + 6 * np.eye(3)
+                  for g in rng.standard_normal((4, 3, 3))]
         K = sp.block_diag(blocks, format="csr")
         patches = PatchSet(
             12, list(range(4)),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dense_oracles import loop_h_prolongation, loop_p_prolongation
 from stokesmg.assembly import ProblemInstance, assemble_stokes
 from stokesmg.mesh import (
     Mesh,
@@ -11,6 +12,7 @@ from stokesmg.mesh import (
 )
 from stokesmg.spaces import build_space
 from stokesmg.transfer import (
+    DROP_TOL,
     build_h_prolongation,
     build_monolithic_transfer,
     build_p_prolongation,
@@ -20,6 +22,43 @@ from stokesmg.transfer import (
 
 def two_cell_square():
     return generate_structured_grid(1)
+
+
+def assert_same_transfer(P, reference):
+    P, reference = P.tocsr(), reference.tocsr()
+    P.sort_indices()
+    reference.sort_indices()
+    assert np.array_equal(P.indptr, reference.indptr)
+    assert np.array_equal(P.indices, reference.indices)
+    assert np.abs(P.data - reference.data).max() <= 1e-14
+
+
+class TestMatchesPerCellBuild:
+    """The batched transfers have the sparsity of the per-cell build and
+    its values to 1e-14."""
+
+    @pytest.mark.parametrize("refine,k,components", [
+        (refine_uniform, 3, 2), (refine_uniform, 2, 1),
+        (refine_barycentric, 4, 2), (refine_barycentric, 3, 1),
+    ])
+    def test_h(self, refine, k, components):
+        coarse_mesh = refine_uniform(generate_structured_grid(
+            2, domain=((-1.0, -1.0), (1.0, 1.0))))
+        coarse = build_space(coarse_mesh, k, "continuous", components)
+        fine = build_space(refine(coarse_mesh), k, "continuous", components)
+        assert_same_transfer(build_h_prolongation(coarse, fine),
+                             loop_h_prolongation(coarse, fine, DROP_TOL))
+
+    @pytest.mark.parametrize("low_k,high_k,continuity,components", [
+        (2, 4, "continuous", 2), (2, 7, "continuous", 1),
+        (1, 3, "discontinuous", 1), (2, 2, "discontinuous", 1),
+    ])
+    def test_p(self, low_k, high_k, continuity, components):
+        mesh = refine_barycentric(generate_structured_grid(2))
+        low = build_space(mesh, low_k, "continuous", components)
+        high = build_space(mesh, high_k, continuity, components)
+        assert_same_transfer(build_p_prolongation(low, high),
+                             loop_p_prolongation(low, high, DROP_TOL))
 
 
 class TestHProlongation:
