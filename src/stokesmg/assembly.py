@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import _marked_slots
 from .quadrature import quadrature_rule
 from .reference import LOCAL_EDGES
 from .spaces import build_space, evaluate
@@ -262,16 +263,13 @@ def _assemble_neumann(space, neumann, b):
     mesh = space.mesh
     s, w = _edge_quadrature(space.k + 1)
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    edges = np.array(list(mesh.boundary_edge_markers), dtype=np.int64)
-    marks = np.array(list(mesh.boundary_edge_markers.values()))
     for marker in sorted(neumann):
         # (cell, local edge) slots holding an edge with this marker
-        on = np.isin(mesh.cell_edges, edges[marks == marker])
-        for local in range(3):
-            cells = np.flatnonzero(on[:, local])
+        slot_cells, slot_edge = _marked_slots(mesh, {marker})
+        for local, (i, j) in enumerate(LOCAL_EDGES):
+            cells = slot_cells[slot_edge == local]
             if not len(cells):
                 continue
-            i, j = LOCAL_EDGES[local]
             values, _ = space.element.tabulate(
                 ref[i] + np.outer(s, ref[j] - ref[i]))
             pa = mesh.vertices[mesh.cells[cells, i]]

@@ -1,16 +1,16 @@
-"""2D simplicial meshes: construction, refinement, and topology queries.
+"""2D simplicial meshes: construction, refinement, and the text format.
 
 Meshes are immutable after construction (coordinate and connectivity arrays
 are marked read-only), so they can be shared freely between solver levels.
 Edges are derived from cells: each edge is a sorted pair of vertex ids and
 edge ids follow the lexicographic order of those pairs, which keeps DoF
-numbering stable across runs.
+numbering stable across runs. The constructors attach boundary markers as
+(a, b, marker) vertex-pair arrays, checked to name boundary edges.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,13 +18,10 @@ from .reference import LOCAL_EDGES
 
 __all__ = [
     "Mesh",
-    "EntitySet",
     "MeshError",
     "generate_structured_grid",
     "refine_uniform",
     "refine_barycentric",
-    "vertex_star",
-    "closure",
     "load_mesh",
     "save_mesh",
 ]
@@ -32,29 +29,6 @@ __all__ = [
 
 class MeshError(ValueError):
     """Invalid mesh topology or geometry."""
-
-
-@dataclass(frozen=True)
-class EntitySet:
-    """Disjoint lists of vertex/edge/cell ids, kept sorted and duplicate-free."""
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    cells: np.ndarray
-
-    def __post_init__(self):
-        for name in ("vertices", "edges", "cells"):
-            ids = np.unique(np.asarray(getattr(self, name), dtype=np.int64))
-            object.__setattr__(self, name, ids)
-
-    def __eq__(self, other):
-        if not isinstance(other, EntitySet):
-            return NotImplemented
-        return (
-            np.array_equal(self.vertices, other.vertices)
-            and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.cells, other.cells)
-        )
 
 
 class Mesh:
@@ -103,15 +77,8 @@ class Mesh:
             raise MeshError(f"dangling vertex ids: {np.flatnonzero(~used).tolist()}")
 
         edges, cell_edges = _derive_edges(cells)
-        edge_cells = _grouped(cell_edges.ravel(),
-                              np.repeat(np.arange(len(cells)), 3), len(edges))
-
-        markers = dict(boundary_edge_markers or {})
-        boundary = frozenset(  # edges of one cell
-            np.flatnonzero(np.diff(edge_cells[0]) == 1).tolist())
-        for eid in markers:
-            if eid not in boundary:
-                raise MeshError(f"marker assigned to non-boundary edge {eid}")
+        boundary = np.flatnonzero(  # edges of one cell
+            np.bincount(cell_edges.ravel(), minlength=len(edges)) == 1)
 
         if (parent is None) != (parent_cell is None):
             raise MeshError("parent and parent_cell must be given together")
@@ -125,17 +92,12 @@ class Mesh:
         self.refinement_kind = None
         self.edges = edges
         self.cell_edges = cell_edges
-        self.boundary_edge_markers = markers
         self.parent = parent
         self.parent_cell = parent_cell
-        self._edge_cells = edge_cells
-        self._boundary_edges = boundary
-        self._vertex_edges = _grouped(edges.ravel(),
-                                      np.repeat(np.arange(len(edges)), 2),
-                                      len(vertices))
-        self._vertex_cells = _grouped(cells.ravel(),
-                                      np.repeat(np.arange(len(cells)), 3),
-                                      len(vertices))
+        self._boundary_edges = frozenset(boundary.tolist())
+        markers = dict(boundary_edge_markers or {})
+        _set_markers(self, np.fromiter(markers, np.int64, len(markers)),
+                     list(markers.values()))
         for arr in (self.vertices, self.cells, self.edges, self.cell_edges):
             arr.flags.writeable = False
         if parent_cell is not None:
@@ -159,17 +121,6 @@ class Mesh:
     def boundary_edges(self):
         """Ids of edges incident to exactly one cell."""
         return self._boundary_edges
-
-    def edge_id(self, a, b):
-        """Edge id of the (unordered) vertex pair, or raise KeyError."""
-        e = int(_edge_ids(self.edges, a, b))
-        if e == self.num_edges or self.edges[e].tolist() != sorted((a, b)):
-            raise KeyError((min(a, b), max(a, b)))
-        return e
-
-    def cells_of_edge(self, e):
-        offsets, cells = self._edge_cells
-        return tuple(cells[offsets[e]:offsets[e + 1]].tolist())
 
     def signed_areas(self):
         return _signed_areas(self.vertices, self.cells)
@@ -199,20 +150,47 @@ def _derive_edges(cells):
     return edges, cell_edges.reshape(len(cells), 3)
 
 
-def _grouped(owners, members, n):
-    """(offsets, members sorted by owner then value): the members of owner
-    i are members[offsets[i]:offsets[i + 1]]."""
-    order = np.lexsort((members, owners))
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(owners,
-                                                         minlength=n))])
-    return offsets, members[order]
+def _edge_ids(mesh, pairs):
+    """Positions of the sorted vertex pairs (P, 2) in the mesh's
+    lexicographic edge table; a pair that is no edge gets the position
+    where it would be inserted."""
+    n = mesh.num_vertices
+    keys = mesh.edges[:, 0] * n + mesh.edges[:, 1]
+    return np.searchsorted(keys, pairs[:, 0] * n + pairs[:, 1])
 
 
-def _edge_ids(edges, a, b):
-    """Ids of the edges {a, b} in a lexicographically sorted edge table."""
-    n = int(edges.max()) + 1
-    keys = edges[:, 0] * n + edges[:, 1]
-    return np.searchsorted(keys, np.minimum(a, b) * n + np.maximum(a, b))
+def _set_markers(mesh, ids, marks, where=""):
+    """Give edge ids[i] the boundary marker marks[i]; every id must be a
+    boundary edge of the mesh."""
+    interior = np.isin(ids, list(mesh.boundary_edges), invert=True)
+    if interior.any():
+        raise MeshError(f"{where}marker assigned to non-boundary edge "
+                        f"{ids[np.argmax(interior)]}")
+    mesh.boundary_edge_markers = dict(zip(ids.tolist(), marks))
+
+
+def _attach_markers(mesh, a, b, marks, where=""):
+    """Give the edge {a[i], b[i]} the boundary marker marks[i] (arrays of
+    one shape); every pair must be a boundary edge of the mesh."""
+    pairs = np.sort(np.stack([np.ravel(a), np.ravel(b)], axis=1), axis=1)
+    ids = _edge_ids(mesh, pairs)
+    missing = (np.vstack([mesh.edges, [[-1, -1]]])[ids] != pairs).any(axis=1)
+    if missing.any():
+        p, q = pairs[np.argmax(missing)]
+        raise MeshError(f"{where}vertex pair ({p}, {q}) is not an edge of "
+                        f"the mesh")
+    _set_markers(mesh, ids, np.ravel(marks).tolist(), where)
+
+
+def _marked_slots(mesh, markers=None):
+    """(cells, local edges): the (cell, local edge) slot of every boundary
+    edge whose marker is in `markers` (any marker if None), in cell order."""
+    ids = np.fromiter(mesh.boundary_edge_markers, np.int64,
+                      len(mesh.boundary_edge_markers))
+    if markers is not None:
+        marks = np.array(list(mesh.boundary_edge_markers.values()))
+        ids = ids[np.isin(marks, list(markers))]
+    return np.divmod(np.flatnonzero(np.isin(mesh.cell_edges, ids)), 3)
 
 
 # -- constructors ----------------------------------------------------------
@@ -232,52 +210,29 @@ def generate_structured_grid(n, domain=((0.0, 0.0), (1.0, 1.0))):
     ys = np.linspace(y0, y1, n + 1)
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    cells = []
-    for iy in range(n):
-        for ix in range(n):
-            ll, lr = vid(ix, iy), vid(ix + 1, iy)
-            ul, ur = vid(ix, iy + 1), vid(ix + 1, iy + 1)
-            cells.append((ll, lr, ur))
-            cells.append((ll, ur, ul))
-    cells = np.array(cells, dtype=np.int64)
-
-    markers = {}
+    # vertex (ix, iy) is iy * (n + 1) + ix; squares row by row
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    cells = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
     mesh = Mesh(vertices, cells)
-    for e in mesh.boundary_edges:
-        a, b = mesh.edges[e]
-        pa, pb = vertices[a], vertices[b]
-        if pa[1] == y0 and pb[1] == y0:
-            markers[e] = BOTTOM
-        elif pa[0] == x1 and pb[0] == x1:
-            markers[e] = RIGHT
-        elif pa[1] == y1 and pb[1] == y1:
-            markers[e] = TOP
-        elif pa[0] == x0 and pb[0] == x0:
-            markers[e] = LEFT
-        else:  # pragma: no cover - structured grid always matches a side
-            raise MeshError("boundary edge not on a domain side")
-    return Mesh(vertices, cells, markers)
+    # bottom, right, top and left sides, n edges (a, b) each
+    i = np.arange(n)
+    a = np.concatenate([i, i * (n + 1) + n, n * (n + 1) + i, i * (n + 1)])
+    b = a + np.repeat([1, n + 1, 1, n + 1], n)
+    _attach_markers(mesh, a, b, np.repeat([BOTTOM, RIGHT, TOP, LEFT], n))
+    return mesh
 
 
-def _child_mesh(parent, vertices, cells, kind, marked_pairs):
-    """The refinement of `parent` with the given cells, built once; each
-    parent boundary marker goes to the child edges listed for it in
-    `marked_pairs` ((a, b) vertex-id arrays, one column per marked parent
-    edge, in marker order)."""
+def _child_mesh(parent, vertices, cells, kind, a, b):
+    """The refinement of `parent` with the given cells; the child edges
+    {a[:, j], b[:, j]} inherit the marker of the j-th marked parent edge
+    (in the order of `parent.boundary_edge_markers`)."""
     per_parent = len(cells) // parent.num_cells
     child = Mesh(vertices, cells, parent=parent,
                  parent_cell=np.repeat(np.arange(parent.num_cells,
                                                  dtype=np.int64), per_parent))
-    a, b = marked_pairs
-    ids = _edge_ids(child.edges, a, b)
     marks = np.array(list(parent.boundary_edge_markers.values()))
-    # markers only ever land on boundary edges, which Mesh would check
-    child.boundary_edge_markers = dict(
-        zip(ids.T.ravel().tolist(), np.repeat(marks, len(ids)).tolist()))
+    _attach_markers(child, a, b, np.broadcast_to(marks, a.shape))
     child.refinement_kind = kind
     return child
 
@@ -301,7 +256,7 @@ def refine_uniform(mesh):
     ea, eb = mesh.edges[marked].T
     m = V + marked
     return _child_mesh(mesh, vertices, cells, "uniform",
-                       (np.stack([ea, m]), np.stack([m, eb])))
+                       np.stack([ea, m]), np.stack([m, eb]))
 
 
 def refine_barycentric(mesh):
@@ -317,41 +272,9 @@ def refine_barycentric(mesh):
     z = V + np.arange(mesh.num_cells, dtype=np.int64)
     cells = np.stack([a, b, z, b, c, z, c, a, z], axis=1).reshape(-1, 3)
     marked = np.array(list(mesh.boundary_edge_markers), dtype=np.int64)
+    ea, eb = mesh.edges[marked].T
     return _child_mesh(mesh, vertices, cells, "barycentric",
-                       mesh.edges[marked].T[:, None])
-
-
-# -- topology queries ------------------------------------------------------
-
-def vertex_star(mesh, v):
-    """The vertex itself plus every incident edge and cell."""
-    if not 0 <= v < mesh.num_vertices:
-        raise MeshError(f"invalid vertex id {v}")
-    (edge_offsets, edges), (cell_offsets, cells) = (mesh._vertex_edges,
-                                                    mesh._vertex_cells)
-    return EntitySet(
-        vertices=np.array([v], dtype=np.int64),
-        edges=edges[edge_offsets[v]:edge_offsets[v + 1]],
-        cells=cells[cell_offsets[v]:cell_offsets[v + 1]],
-    )
-
-
-def closure(mesh, s):
-    """Add every vertex and edge of the cells in s, and every vertex of its
-    edges. Idempotent."""
-    vertices = set(int(v) for v in s.vertices)
-    edges = set(int(e) for e in s.edges)
-    cells = set(int(c) for c in s.cells)
-    for c in cells:
-        vertices.update(int(v) for v in mesh.cells[c])
-        edges.update(int(e) for e in mesh.cell_edges[c])
-    for e in edges:
-        vertices.update(int(v) for v in mesh.edges[e])
-    return EntitySet(
-        vertices=np.array(sorted(vertices), dtype=np.int64),
-        edges=np.array(sorted(edges), dtype=np.int64),
-        cells=np.array(sorted(cells), dtype=np.int64),
-    )
+                       ea[None], eb[None])
 
 
 # -- text format -----------------------------------------------------------
@@ -392,9 +315,10 @@ def load_mesh(path):
             [[int(next(it)), int(next(it)), int(next(it))] for _ in range(T)],
             dtype=np.int64,
         )
-        bedges = [
-            (int(next(it)), int(next(it)), int(next(it))) for _ in range(Eb)
-        ]
+        bedges = np.array(
+            [[int(next(it)), int(next(it)), int(next(it))] for _ in range(Eb)],
+            dtype=np.int64,
+        ).reshape(-1, 3)
     except (StopIteration, ValueError) as exc:
         raise MeshError(f"{path}: malformed mesh file") from exc
 
@@ -411,7 +335,5 @@ def load_mesh(path):
         )
 
     mesh = Mesh(vertices, cells)
-    markers = {}
-    for a, b, marker in bedges:
-        markers[mesh.edge_id(a, b)] = marker
-    return Mesh(vertices, cells, markers)
+    _attach_markers(mesh, *bedges.T, where=f"{path}: ")
+    return mesh

@@ -116,7 +116,8 @@ def _patch_set(n, pairs, dirichlet_dofs):
 
 def build_vanka_star_patches(mesh, velocity_space, pressure_space,
                              dirichlet_dofs=()):
-    """Monolithic patches: velocity on closure(star(v)), pressure on star(v).
+    """Monolithic patches: velocity on the closure of star(v), pressure on
+    star(v).
 
     Indices are monolithic (velocity block first). `dirichlet_dofs` are
     monolithic indices to exclude; empty patches are dropped.

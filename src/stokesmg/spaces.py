@@ -1,4 +1,4 @@
-"""Scalar and vector function spaces: global DoF numbering and queries.
+"""Scalar and vector function spaces: global DoF numbering and boundary DoFs.
 
 Numbering is deterministic: vertex DoFs first (in vertex-id order), then edge
 DoFs (edge-id order, nodes ordered along the edge from the lower global
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mesh import _marked_slots
 from .reference import LOCAL_EDGES, _element_any_degree
 
 __all__ = ["FunctionSpace", "build_space", "evaluate"]
@@ -47,63 +48,18 @@ class FunctionSpace:
         return out.reshape(*scalar_ids.shape[:-1], -1) if scalar_ids.ndim > 1 \
             else out.ravel()
 
-    # -- entity queries (used by patch construction and boundary handling) --
-
-    def entity_scalar_dofs(self, kind, index):
-        """Scalar DoF ids attached to one mesh entity.
-
-        For discontinuous spaces only cells carry DoFs.
-        """
-        k = self.k
-        if self.continuity == DISCONTINUOUS:
-            if kind != "cell":
-                return np.empty(0, dtype=np.int64)
-            n = self.element.num_nodes
-            return np.arange(index * n, (index + 1) * n, dtype=np.int64)
-        if kind == "vertex":
-            return np.array([index], dtype=np.int64)
-        if kind == "edge":
-            if k < 2:
-                return np.empty(0, dtype=np.int64)
-            base = self.mesh.num_vertices + index * (k - 1)
-            return np.arange(base, base + k - 1, dtype=np.int64)
-        if kind == "cell":
-            n_int = (k - 1) * (k - 2) // 2
-            if n_int == 0:
-                return np.empty(0, dtype=np.int64)
-            base = (
-                self.mesh.num_vertices
-                + self.mesh.num_edges * (k - 1)
-                + index * n_int
-            )
-            return np.arange(base, base + n_int, dtype=np.int64)
-        raise ValueError(f"unknown entity kind {kind!r}")
-
-    def entity_set_scalar_dofs(self, entity_set):
-        """Union of scalar DoFs over an EntitySet, sorted."""
-        parts = (
-            [self.entity_scalar_dofs("vertex", int(v)) for v in entity_set.vertices]
-            + [self.entity_scalar_dofs("edge", int(e)) for e in entity_set.edges]
-            + [self.entity_scalar_dofs("cell", int(c)) for c in entity_set.cells]
-        )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
     def boundary_scalar_dofs(self, markers=None):
-        """Scalar DoFs on boundary edges (optionally restricted by marker)."""
-        mesh = self.mesh
-        dofs = []
-        for e, marker in mesh.boundary_edge_markers.items():
-            if markers is not None and marker not in markers:
-                continue
-            a, b = mesh.edges[e]
-            dofs.append(self.entity_scalar_dofs("vertex", int(a)))
-            dofs.append(self.entity_scalar_dofs("vertex", int(b)))
-            dofs.append(self.entity_scalar_dofs("edge", e))
-        if not dofs:
+        """Scalar DoFs on boundary edges (optionally restricted by marker):
+        the vertex and edge nodes of each marked edge's cell slot. A
+        discontinuous space has none."""
+        if self.continuity == DISCONTINUOUS:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(dofs))
+        cells, local = _marked_slots(self.mesh, markers)
+        elem = self.element
+        edge_nodes = np.column_stack([elem.vertex_nodes[np.array(LOCAL_EDGES)],
+                                      elem.edge_nodes])
+        return np.unique(self.cell_scalar_dofs[cells[:, None],
+                                               edge_nodes[local]])
 
     def interpolate(self, f):
         """Nodal interpolation of f (see :func:`evaluate`)."""

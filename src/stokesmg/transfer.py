@@ -28,7 +28,11 @@ __all__ = [
     "filter_dirichlet",
 ]
 
-DROP_TOL = 1e-14
+# Tabulated basis values at most DROP_TOL are roundoff zeros. On the bfs2d
+# base mesh's uniform and barycentric h-transfers and every p-transfer for
+# k = 1-10, genuine entries are >= 4.65e-5 and roundoff reaches 8.0e-13,
+# so the sparsity of P does not depend on how the tabulation rounds.
+DROP_TOL = 1e-10
 
 
 def _expand_components(P, components):

@@ -5,15 +5,15 @@ inverses, matrix Chebyshev recurrences, and the displayed propagator
 formulas — independently of the sparse/iterative implementations, so the
 tests can compare the two sides at tight tolerances.
 
-The setup references at the end build patches, load vectors and transfers
-the direct way, one vertex, cell or point at a time, for comparison with
-the batched library versions.
+The setup references at the end build patches, boundary DoFs, load
+vectors and transfers the direct way, one vertex, edge, cell or point at a
+time, for comparison with the batched library versions. Their topology
+(vertex stars, closures) and DoF numbering are set-based and written out
+here, apart from the DoF maps the library builds.
 """
 
 import numpy as np
 import scipy.sparse as sp
-
-from stokesmg.mesh import closure, vertex_star
 
 CHEB_LOWER, CHEB_UPPER = 0.3, 1.1
 
@@ -127,17 +127,81 @@ def probe_columns(apply_fn, n):
 
 # -- per-entity setup references ----------------------------------------------
 
+def entity_dofs(space, kind, index):
+    """Scalar DoFs of one mesh entity ("vertex", "edge" or "cell"), from
+    the documented numbering: vertices, then k - 1 per edge, then the cell
+    interiors; a discontinuous space numbers every node cell by cell."""
+    mesh, k = space.mesh, space.k
+    if space.continuity == "discontinuous":
+        n = space.element.num_nodes
+        return list(range(index * n, (index + 1) * n)) if kind == "cell" \
+            else []
+    if kind == "vertex":
+        return [index]
+    if kind == "edge":
+        base = mesh.num_vertices + index * (k - 1)
+        return list(range(base, base + k - 1))
+    n_int = (k - 1) * (k - 2) // 2
+    base = mesh.num_vertices + mesh.num_edges * (k - 1) + index * n_int
+    return list(range(base, base + n_int))
+
+
+def entity_set_dofs(space, vertices, edges, cells):
+    """Sorted scalar DoFs of a set of mesh entities."""
+    return np.array(sorted(
+        {d for v in vertices for d in entity_dofs(space, "vertex", v)}
+        | {d for e in edges for d in entity_dofs(space, "edge", e)}
+        | {d for c in cells for d in entity_dofs(space, "cell", c)}),
+        dtype=np.int64)
+
+
+def vertex_stars(mesh):
+    """Per vertex v: (v's incident edges, v's incident cells), as sets."""
+    edges = [set() for _ in range(mesh.num_vertices)]
+    cells = [set() for _ in range(mesh.num_vertices)]
+    for e, pair in enumerate(mesh.edges.tolist()):
+        for v in pair:
+            edges[v].add(e)
+    for c, tri in enumerate(mesh.cells.tolist()):
+        for v in tri:
+            cells[v].add(c)
+    return list(zip(edges, cells))
+
+
+def closure(mesh, vertices, edges, cells):
+    """The entity sets plus every vertex and edge of their cells and every
+    vertex of their edges."""
+    vertices, edges = set(vertices), set(edges)
+    for c in cells:
+        vertices.update(mesh.cells[c].tolist())
+        edges.update(mesh.cell_edges[c].tolist())
+    for e in edges:
+        vertices.update(mesh.edges[e].tolist())
+    return vertices, edges, set(cells)
+
+
+def loop_boundary_dofs(space, markers=None):
+    """Sorted scalar DoFs on the boundary edges with a marker in `markers`
+    (any if None), one edge at a time."""
+    dofs = set()
+    for e, marker in space.mesh.boundary_edge_markers.items():
+        if markers is None or marker in markers:
+            dofs.update(entity_set_dofs(space, space.mesh.edges[e].tolist(),
+                                        [e], []).tolist())
+    return np.array(sorted(dofs), dtype=np.int64)
+
+
 def loop_vanka_patches(mesh, velocity_space, pressure_space,
                        dirichlet_dofs=()):
-    """(vertices, indices): velocity DoFs on closure(star(v)) and pressure
-    DoFs on star(v), per vertex, from the mesh queries."""
+    """(vertices, indices): velocity DoFs on the closure of star(v) and
+    pressure DoFs on star(v), per vertex."""
     n_u = velocity_space.num_dofs
     return _loop_patches(
         mesh, n_u + pressure_space.num_dofs, dirichlet_dofs,
         lambda star: np.concatenate([
             velocity_space.expand_components(
-                velocity_space.entity_set_scalar_dofs(closure(mesh, star))),
-            n_u + pressure_space.entity_set_scalar_dofs(star),
+                entity_set_dofs(velocity_space, *closure(mesh, *star))),
+            n_u + entity_set_dofs(pressure_space, *star),
         ]))
 
 
@@ -146,15 +210,15 @@ def loop_star_patches(mesh, velocity_space, dirichlet_dofs=()):
     return _loop_patches(
         mesh, velocity_space.num_dofs, dirichlet_dofs,
         lambda star: velocity_space.expand_components(
-            velocity_space.entity_set_scalar_dofs(star)))
+            entity_set_dofs(velocity_space, *star)))
 
 
 def _loop_patches(mesh, n, dirichlet_dofs, dofs_of_star):
     excluded = np.zeros(n, dtype=bool)
     excluded[np.asarray(dirichlet_dofs, dtype=np.int64)] = True
     vertices, indices = [], []
-    for v in range(mesh.num_vertices):
-        idx = dofs_of_star(vertex_star(mesh, v))
+    for v, (edges, cells) in enumerate(vertex_stars(mesh)):
+        idx = dofs_of_star(({v}, edges, cells))
         idx = idx[~excluded[idx]]
         if len(idx):
             vertices.append(v)

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from stokesmg.mesh import (
-    EntitySet,
     Mesh,
     MeshError,
-    closure,
     generate_structured_grid,
     load_mesh,
     refine_barycentric,
     refine_uniform,
     save_mesh,
-    vertex_star,
 )
 
 
@@ -184,52 +181,6 @@ class TestBarycentricRefinement:
         assert fine.total_area() == pytest.approx(mesh.total_area(), rel=1e-14)
 
 
-class TestStarAndClosure:
-    def test_interior_valence6_star(self):
-        mesh = generate_structured_grid(2)
-        center = int(np.argmin(np.abs(mesh.vertices - 0.5).sum(axis=1)))
-        star = vertex_star(mesh, center)
-        assert len(star.vertices) == 1
-        assert len(star.edges) == 6
-        assert len(star.cells) == 6
-
-    def test_closure_of_valence6_star(self):
-        mesh = generate_structured_grid(2)
-        center = int(np.argmin(np.abs(mesh.vertices - 0.5).sum(axis=1)))
-        cl = closure(mesh, vertex_star(mesh, center))
-        assert len(cl.vertices) == 7
-        assert len(cl.edges) == 12
-        assert len(cl.cells) == 6
-
-    def test_closure_idempotent(self):
-        mesh = generate_structured_grid(3)
-        for v in range(mesh.num_vertices):
-            once = closure(mesh, vertex_star(mesh, v))
-            assert closure(mesh, once) == once
-
-    def test_closure_empty(self):
-        mesh = generate_structured_grid(2)
-        empty = EntitySet(np.array([]), np.array([]), np.array([]))
-        assert closure(mesh, empty) == empty
-
-    def test_corner_star(self):
-        mesh = generate_structured_grid(2)
-        corner = int(np.argmin(np.abs(mesh.vertices).sum(axis=1)))
-        star = vertex_star(mesh, corner)
-        assert len(star.edges) == 3
-        assert len(star.cells) == 2
-
-    def test_invalid_vertex(self):
-        mesh = generate_structured_grid(1)
-        with pytest.raises(MeshError):
-            vertex_star(mesh, 100)
-
-    def test_entityset_deduplicates_and_sorts(self):
-        s = EntitySet(np.array([3, 1, 3]), np.array([2, 2]), np.array([0]))
-        assert s.vertices.tolist() == [1, 3]
-        assert s.edges.tolist() == [2]
-
-
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
         mesh = generate_structured_grid(3, domain=((-1.0, -1.0), (1.0, 1.0)))
@@ -257,6 +208,22 @@ class TestMeshIO:
         path = tmp_path / "short.mesh"
         path.write_text("5 0 3\n0 0\n1 0\n")
         with pytest.raises(MeshError):
+            load_mesh(path)
+
+    def test_rejects_boundary_line_naming_no_edge(self, tmp_path):
+        path = tmp_path / "no_edge.mesh"
+        path.write_text("4 1 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
+                        "1 3 2\n")
+        with pytest.raises(MeshError, match=r"no_edge\.mesh: vertex pair "
+                                            r"\(1, 3\) is not an edge"):
+            load_mesh(path)
+
+    def test_rejects_boundary_line_on_interior_edge(self, tmp_path):
+        path = tmp_path / "interior.mesh"
+        path.write_text("4 1 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
+                        "2 0 1\n")
+        with pytest.raises(MeshError, match=r"interior\.mesh: marker "
+                                            r"assigned to non-boundary edge"):
             load_mesh(path)
 
 

@@ -126,8 +126,8 @@ def assert_same_patches(patches, reference):
 
 
 class TestPatchesMatchPerVertexBuild:
-    """The batched builders give exactly the patches of the per-vertex
-    star/closure queries."""
+    """The batched builders give exactly the patches of the per-vertex,
+    set-based star and closure of `dense_oracles`."""
 
     def test_taylor_hood_vanka(self):
         prob = cavity_problem(k=3)

@@ -1,8 +1,33 @@
+import os
+
 import numpy as np
 import pytest
 
-from stokesmg.mesh import closure, generate_structured_grid, vertex_star
+from dense_oracles import (
+    closure,
+    entity_dofs,
+    entity_set_dofs,
+    loop_boundary_dofs,
+    vertex_stars,
+)
+from stokesmg.mesh import (
+    generate_structured_grid,
+    load_mesh,
+    refine_barycentric,
+    refine_uniform,
+)
+from stokesmg.problems import DATA_DIR
+from stokesmg.reference import LOCAL_EDGES
 from stokesmg.spaces import build_space
+
+BIUNIT = ((-1.0, -1.0), (1.0, 1.0))
+MESHES = {
+    "grid": lambda: generate_structured_grid(3, domain=BIUNIT),
+    "uniform": lambda: refine_uniform(generate_structured_grid(3, BIUNIT)),
+    "barycentric": lambda: refine_barycentric(
+        generate_structured_grid(3, BIUNIT)),
+    "bfs2d": lambda: load_mesh(os.path.join(DATA_DIR, "bfs2d_base.mesh")),
+}
 
 
 class TestDofCounts:
@@ -90,37 +115,64 @@ class TestComponentInterleaving:
 
 
 class TestEntityQueries:
+    """The DoF maps and boundary DoFs against the per-entity numbering of
+    `dense_oracles`."""
+
     def test_vertex_edge_cell_partition(self):
         mesh = generate_structured_grid(2)
         space = build_space(mesh, 4, "continuous")
-        all_dofs = []
-        for v in range(mesh.num_vertices):
-            all_dofs.append(space.entity_scalar_dofs("vertex", v))
-        for e in range(mesh.num_edges):
-            all_dofs.append(space.entity_scalar_dofs("edge", e))
+        elem, dofs = space.element, space.cell_scalar_dofs
+        assert np.array_equal(dofs[:, elem.vertex_nodes], mesh.cells)
         for c in range(mesh.num_cells):
-            all_dofs.append(space.entity_scalar_dofs("cell", c))
-        cat = np.concatenate(all_dofs)
-        assert len(cat) == space.num_scalar_dofs
+            for le, (i, j) in enumerate(LOCAL_EDGES):
+                # edge nodes run from the lower global vertex to the higher
+                expected = entity_dofs(space, "edge", mesh.cell_edges[c, le])
+                if mesh.cells[c, i] > mesh.cells[c, j]:
+                    expected = expected[::-1]
+                assert dofs[c, elem.edge_nodes[le]].tolist() == expected
+            assert (dofs[c, elem.interior_nodes].tolist()
+                    == entity_dofs(space, "cell", c))
+        blocks = ([entity_dofs(space, "vertex", v)
+                   for v in range(mesh.num_vertices)]
+                  + [entity_dofs(space, "edge", e)
+                     for e in range(mesh.num_edges)]
+                  + [entity_dofs(space, "cell", c)
+                     for c in range(mesh.num_cells)])
+        cat = np.concatenate(blocks)
         assert np.array_equal(np.sort(cat), np.arange(space.num_scalar_dofs))
 
     def test_discontinuous_only_cells(self):
         mesh = generate_structured_grid(2)
         space = build_space(mesh, 1, "discontinuous")
-        assert len(space.entity_scalar_dofs("vertex", 0)) == 0
-        assert len(space.entity_scalar_dofs("edge", 0)) == 0
-        assert len(space.entity_scalar_dofs("cell", 3)) == 3
+        assert space.boundary_scalar_dofs().dtype == np.int64
+        assert len(space.boundary_scalar_dofs()) == 0
+        assert len(space.boundary_scalar_dofs(markers={1})) == 0
+        for c in range(mesh.num_cells):
+            assert (space.cell_scalar_dofs[c].tolist()
+                    == entity_dofs(space, "cell", c))
 
     def test_entity_set_dofs_match_closure_cells(self):
         mesh = generate_structured_grid(2)
         space = build_space(mesh, 2, "continuous")
         center = int(np.argmin(np.abs(mesh.vertices - 0.5).sum(axis=1)))
-        cl = closure(mesh, vertex_star(mesh, center))
-        dofs = space.entity_set_scalar_dofs(cl)
+        edges, cells = vertex_stars(mesh)[center]
+        dofs = entity_set_dofs(space, *closure(mesh, {center}, edges, cells))
         # P2 on the closure of a valence-6 star: 7 vertices + 12 edges
         assert len(dofs) == 19
-        from_cells = np.unique(space.cell_scalar_dofs[cl.cells].ravel())
+        from_cells = np.unique(space.cell_scalar_dofs[sorted(cells)].ravel())
         assert np.array_equal(dofs, from_cells)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mesh_name", list(MESHES))
+    def test_boundary_dofs_match_per_edge_loop(self, mesh_name, k):
+        mesh = MESHES[mesh_name]()
+        space = build_space(mesh, k, "continuous")
+        markers = sorted(set(mesh.boundary_edge_markers.values()))
+        assert len(markers) >= 3
+        for selection in [None] + [{m} for m in markers]:
+            got = space.boundary_scalar_dofs(markers=selection)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, loop_boundary_dofs(space, selection))
 
     def test_boundary_dofs(self):
         mesh = generate_structured_grid(2)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,9 +9,11 @@ from stokesmg.assembly import ProblemInstance, assemble_stokes
 from stokesmg.mesh import (
     Mesh,
     generate_structured_grid,
+    load_mesh,
     refine_barycentric,
     refine_uniform,
 )
+from stokesmg.problems import DATA_DIR
 from stokesmg.spaces import build_space
 from stokesmg.transfer import (
     DROP_TOL,
@@ -37,13 +41,23 @@ class TestMatchesPerCellBuild:
     """The batched transfers have the sparsity of the per-cell build and
     its values to 1e-14."""
 
-    @pytest.mark.parametrize("refine,k,components", [
-        (refine_uniform, 3, 2), (refine_uniform, 2, 1),
-        (refine_barycentric, 4, 2), (refine_barycentric, 3, 1),
+    @pytest.mark.parametrize("base,refine,k,components", [
+        pytest.param("grid", refine_uniform, 3, 2, id="refine_uniform-3-2"),
+        pytest.param("grid", refine_uniform, 2, 1, id="refine_uniform-2-1"),
+        pytest.param("grid", refine_barycentric, 4, 2,
+                     id="refine_barycentric-4-2"),
+        pytest.param("grid", refine_barycentric, 3, 1,
+                     id="refine_barycentric-3-1"),
+        # unstructured: tabulated zeros carry roundoff far above 1e-14
+        pytest.param("bfs2d", refine_uniform, 3, 2,
+                     id="bfs2d-refine_uniform-3-2"),
     ])
-    def test_h(self, refine, k, components):
-        coarse_mesh = refine_uniform(generate_structured_grid(
-            2, domain=((-1.0, -1.0), (1.0, 1.0))))
+    def test_h(self, base, refine, k, components):
+        if base == "bfs2d":
+            coarse_mesh = load_mesh(os.path.join(DATA_DIR, "bfs2d_base.mesh"))
+        else:
+            coarse_mesh = refine_uniform(generate_structured_grid(
+                2, domain=((-1.0, -1.0), (1.0, 1.0))))
         coarse = build_space(coarse_mesh, k, "continuous", components)
         fine = build_space(refine(coarse_mesh), k, "continuous", components)
         assert_same_transfer(build_h_prolongation(coarse, fine),
