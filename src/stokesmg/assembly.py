@@ -151,7 +151,7 @@ def _physical_grads(space, rule):
     """
     detJ, JinvT = _geometry(space.mesh)
     values, ref_grads = space.element.tabulate(rule.xy)
-    grads = np.einsum("qnd,ted->tqne", ref_grads, JinvT)
+    grads = ref_grads @ np.swapaxes(JinvT, 1, 2)[:, None]  # ref_grads inv(J)
     return values, grads, detJ
 
 
@@ -165,7 +165,11 @@ def assemble_vector_laplacian(space, rule=None):
     """
     rule = rule or quadrature_rule(max(2 * space.k, 1))
     _, grads, detJ = _physical_grads(space, rule)
-    local = np.einsum("tqnd,tqmd,q->tnm", grads, grads, rule.weights)
+    # local[t] = G_t G_t^T, G_t[n] = grads[t, :, n, :] * sqrt(w) (w > 0)
+    T, _, n, _ = grads.shape
+    G = np.moveaxis(grads * np.sqrt(rule.weights)[:, None, None], 2, 1)
+    G = G.reshape(T, n, -1)
+    local = G @ np.swapaxes(G, 1, 2)
     local *= detJ[:, None, None]
 
     scal = space.cell_scalar_dofs
@@ -196,14 +200,12 @@ def assemble_divergence(velocity_space, pressure_space, rule=None):
     _, grads, detJ = _physical_grads(velocity_space, rule)
     p_values, _ = pressure_space.element.tabulate(rule.xy)
     # local[t, i, j, c] = -sum_q w_q psi_i dphi_j/dx_c, scaled by detJ
-    local = -np.einsum("qi,tqjc,q->tijc", p_values, grads, rule.weights)
-    local *= detJ[:, None, None, None]
+    T, q, n, _ = grads.shape
+    local = -(p_values * rule.weights[:, None]).T @ grads.reshape(T, q, 2 * n)
+    local = local.reshape(T, -1, n, 2) * detJ[:, None, None, None]
 
-    T = velocity_space.mesh.num_cells
     rows = np.repeat(
-        pressure_space.cell_scalar_dofs[:, :, None, None],
-        grads.shape[2], axis=2,
-    )
+        pressure_space.cell_scalar_dofs[:, :, None, None], n, axis=2)
     rows = np.repeat(rows, 2, axis=3)
     cols = 2 * velocity_space.cell_scalar_dofs[:, None, :, None] \
         + np.arange(2)[None, None, None, :]

@@ -214,35 +214,34 @@ CHEBYSHEV_UPPER = 1.1
 FALLBACK_WEIGHT = 2.0 / 3.0
 
 
-def chebyshev(apply_MK, apply_Minv, b, x0, nu, lambda_max):
-    """nu Chebyshev steps for K x = b, preconditioned by M.
+def chebyshev(apply_MK, apply_Minv, r, nu, lambda_max):
+    """nu Chebyshev steps for K e = r from e = 0, preconditioned by M.
 
-    `apply_MK(x)` must return M^{-1} K x and `apply_Minv(r)` returns M^{-1} r;
-    the target interval is [0.3, 1.1] * lambda_max. nu = 1 degenerates to one
-    Richardson step with weight 2 / (1.4 lambda_max). A non-positive
+    Smooths a guess x of K x = b as x += e with r = b - K x. Calls
+    `apply_Minv(r)` = M^{-1} r once and `apply_MK(v)` = M^{-1} K v once per
+    further step. The interval is [0.3, 1.1] * lambda_max; nu = 1 is one
+    Richardson step with weight 2 / (1.4 lambda_max), and a non-positive
     lambda_max falls back to fixed-weight (2/3) Richardson.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    x = np.array(x0, dtype=np.float64)
-    zb = apply_Minv(b)
+    rbar = apply_Minv(r)
     if lambda_max <= 0.0:
-        for _ in range(nu):
-            x = x + FALLBACK_WEIGHT * (zb - apply_MK(x))
-        return x
+        e = FALLBACK_WEIGHT * rbar
+        for _ in range(nu - 1):
+            e = e + FALLBACK_WEIGHT * (rbar - apply_MK(e))
+        return e
     low = CHEBYSHEV_LOWER * lambda_max
     high = CHEBYSHEV_UPPER * lambda_max
     theta = 0.5 * (high + low)
     delta = 0.5 * (high - low)
     sigma1 = theta / delta
     rho = 1.0 / sigma1
-    rbar = zb - apply_MK(x)
-    d = rbar / theta
-    x = x + d
+    e = d = rbar / theta
     for _ in range(nu - 1):
         rbar = rbar - apply_MK(d)
         rho_new = 1.0 / (2.0 * sigma1 - rho)
         d = rho_new * rho * d + (2.0 * rho_new / delta) * rbar
-        x = x + d
+        e = e + d
         rho = rho_new
-    return x
+    return e

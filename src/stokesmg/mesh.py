@@ -171,7 +171,7 @@ def _set_markers(mesh, ids, marks, where=""):
 
 def _attach_markers(mesh, a, b, marks, where=""):
     """Give the edge {a[i], b[i]} the boundary marker marks[i] (arrays of
-    one shape); every pair must be a boundary edge of the mesh."""
+    one shape); every pair must be a boundary edge of the mesh, named once."""
     pairs = np.sort(np.stack([np.ravel(a), np.ravel(b)], axis=1), axis=1)
     ids = _edge_ids(mesh, pairs)
     missing = (np.vstack([mesh.edges, [[-1, -1]]])[ids] != pairs).any(axis=1)
@@ -179,6 +179,10 @@ def _attach_markers(mesh, a, b, marks, where=""):
         p, q = pairs[np.argmax(missing)]
         raise MeshError(f"{where}vertex pair ({p}, {q}) is not an edge of "
                         f"the mesh")
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    if (counts > 1).any():
+        p, q = pairs[first[np.argmax(counts > 1)]]
+        raise MeshError(f"{where}edge ({p}, {q}) is marked more than once")
     _set_markers(mesh, ids, np.ravel(marks).tolist(), where)
 
 
@@ -297,9 +301,9 @@ def load_mesh(path):
     """Read a mesh from the plain-text format.
 
     Line 1 holds ``V E_b T``; then V vertex lines ``x y``; then T cell lines
-    ``v0 v1 v2``; then E_b boundary-edge lines ``v_a v_b marker``. Cells with
-    negative orientation are repaired by swapping two vertices (a warning is
-    emitted); dangling vertices are rejected.
+    ``v0 v1 v2``; then E_b lines ``v_a v_b marker``, one per boundary edge
+    (E_b = 0: an unmarked mesh). Negatively oriented cells are repaired by
+    swapping two vertices, with a warning; dangling vertices are rejected.
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -336,4 +340,8 @@ def load_mesh(path):
 
     mesh = Mesh(vertices, cells)
     _attach_markers(mesh, *bedges.T, where=f"{path}: ")
+    unmarked = mesh.boundary_edges - mesh.boundary_edge_markers.keys()
+    if Eb and unmarked:
+        p, q = mesh.edges[min(unmarked)]
+        raise MeshError(f"{path}: boundary edge ({p}, {q}) has no marker line")
     return mesh

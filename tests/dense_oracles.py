@@ -5,6 +5,11 @@ inverses, matrix Chebyshev recurrences, and the displayed propagator
 formulas — independently of the sparse/iterative implementations, so the
 tests can compare the two sides at tight tolerances.
 
+`reference_vcycle` is the exception: the sparse V-cycle in the form in
+which every smoother and sub-cycle carries its guess, built on the
+library's patch application, for comparison with the residual form of
+`solvers.vcycle`.
+
 The setup references at the end build patches, boundary DoFs, load
 vectors and transfers the direct way, one vertex, edge, cell or point at a
 time, for comparison with the batched library versions. Their topology
@@ -14,6 +19,8 @@ here, apart from the DoF maps the library builds.
 
 import numpy as np
 import scipy.sparse as sp
+
+from stokesmg.relaxation import asm_apply
 
 CHEB_LOWER, CHEB_UPPER = 0.3, 1.1
 
@@ -123,6 +130,63 @@ def probe_columns(apply_fn, n):
         M[:, j] = apply_fn(e)
         e[j] = 0.0
     return M
+
+
+# -- the V-cycle in guess-carrying form ---------------------------------------
+
+def reference_chebyshev(apply_MK, apply_Minv, b, x0, nu, lam):
+    """nu Chebyshev steps for K x = b from the guess x0: M^{-1} b is applied
+    afresh on every call and M^{-1} K x0 is swept even when x0 = 0."""
+    x = np.array(x0, dtype=np.float64)
+    zb = apply_Minv(b)
+    if lam <= 0.0:
+        for _ in range(nu):
+            x = x + (2.0 / 3.0) * (zb - apply_MK(x))
+        return x
+    theta = 0.5 * (CHEB_UPPER + CHEB_LOWER) * lam
+    delta = 0.5 * (CHEB_UPPER - CHEB_LOWER) * lam
+    sigma1 = theta / delta
+    rho = 1.0 / sigma1
+    rbar = zb - apply_MK(x)
+    d = rbar / theta
+    x = x + d
+    for _ in range(nu - 1):
+        rbar = rbar - apply_MK(d)
+        rho_new = 1.0 / (2.0 * sigma1 - rho)
+        d = rho_new * rho * d + (2.0 * rho_new / delta) * rbar
+        x = x + d
+        rho = rho_new
+    return x
+
+
+def reference_vcycle(hierarchy, b, x0=None, l=0):
+    """The V-cycle with every smoother and sub-cycle carrying its guess:
+    pre- and post-smoothing on b from the current x, and each of the n_V
+    passes of the sub-cycle continuing from the last correction. Equal to
+    `solvers.vcycle` in exact arithmetic."""
+    levels = hierarchy.levels
+    level = levels[l]
+    if level.patches is None:
+        return hierarchy.coarse_solve(b)
+    x = np.zeros(level.n) if x0 is None else np.array(x0, dtype=np.float64)
+
+    def apply_MK(v):
+        return asm_apply(level.patches, level.K @ v)
+
+    def apply_Minv(r):
+        return asm_apply(level.patches, r)
+
+    x = reference_chebyshev(apply_MK, apply_Minv, b, x, level.nu,
+                            level.lambda_max)
+    rc = level.P.T @ (b - level.K @ x)
+    inner = hierarchy.n_V if (level.kind == "p"
+                              and levels[l + 1].kind == "h") else 1
+    e = np.zeros(levels[l + 1].n)
+    for _ in range(inner):
+        e = reference_vcycle(hierarchy, rc, e, l + 1)
+    x = x + level.P @ e
+    return reference_chebyshev(apply_MK, apply_Minv, b, x, level.nu,
+                               level.lambda_max)
 
 
 # -- per-entity setup references ----------------------------------------------

@@ -7,8 +7,11 @@ from dense_oracles import loop_forcing
 from stokesmg.assembly import (
     ProblemInstance,
     _assemble_forcing,
+    _geometry,
+    assemble_divergence,
     assemble_pressure_mass,
     assemble_stokes,
+    assemble_vector_laplacian,
     cellwise_divergence,
     compute_divergence_norm,
     compute_errors,
@@ -271,6 +274,37 @@ class TestDivergence:
         recon = np.einsum("qi,ti->tq", psi, coef)
         assert np.abs(recon - div).max() < 1e-12
 
+
+class TestElementContractions:
+    """A and B against the element integrals written as einsum formulas and
+    applied cell by cell; the stacked products sum in another order, so the
+    bound is 1e-13 relative (float64 roundoff over a few hundred terms)."""
+
+    @pytest.mark.parametrize("barycentric,k", [(False, 3), (True, 4)])
+    def test_match_einsum_formulas(self, barycentric, k):
+        mesh = generate_structured_grid(2, domain=((0.0, 0.0), (2.0, 1.0)))
+        mesh = refine_barycentric(mesh) if barycentric else mesh
+        vel = build_space(mesh, k, "continuous", components=2)
+        pres = build_space(mesh, k - 1, "discontinuous" if barycentric
+                           else "continuous")
+        rule = quadrature_rule(2 * k)
+        detJ, JinvT = _geometry(mesh)
+        _, ref_grads = vel.element.tabulate(rule.xy)
+        psi, _ = pres.element.tabulate(rule.xy)
+        grads = np.einsum("qnd,ted->tqne", ref_grads, JinvT)
+        lap = np.einsum("tqnd,tqmd,q,t->tnm", grads, grads, rule.weights, detJ)
+        div = -np.einsum("qi,tqjc,q,t->tijc", psi, grads, rule.weights, detJ)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(vel.num_dofs)
+        dofs = 2 * vel.cell_scalar_dofs[:, :, None] + np.arange(2)  # (T, n, 2)
+        Au, Bu = np.zeros(vel.num_dofs), np.zeros(pres.num_dofs)
+        np.add.at(Au, dofs, np.einsum("tnm,tmc->tnc", lap, u[dofs]))
+        np.add.at(Bu, pres.cell_scalar_dofs,
+                  np.einsum("tijc,tjc->ti", div, u[dofs]))
+        A = assemble_vector_laplacian(vel)
+        B = assemble_divergence(vel, pres)
+        assert np.abs(A @ u - Au).max() <= 1e-13 * np.abs(Au).max()
+        assert np.abs(B @ u - Bu).max() <= 1e-13 * np.abs(Bu).max()
 
 class TestErrors:
     def test_interpolant_against_itself(self):

@@ -209,7 +209,7 @@ class TestChebyshev:
             return t
 
         for nu in (1, 2, 3, 6):
-            x = chebyshev(lambda v: v, lambda v: v, b, np.zeros(3), nu, 1.0)
+            x = chebyshev(lambda v: v, lambda v: v, b, nu, 1.0)
             factor = cheb_t(nu, (theta - 1.0) / delta) / cheb_t(nu, theta / delta)
             assert np.allclose(x, (1.0 - factor) * b, atol=1e-13)
 
@@ -219,7 +219,7 @@ class TestChebyshev:
         b = rng.standard_normal(6)
         x0 = rng.standard_normal(6)
         lam = 2.0
-        x = chebyshev(lambda v: K @ v, lambda v: v, b, x0, 1, lam)
+        x = x0 + chebyshev(lambda v: K @ v, lambda v: v, b - K @ x0, 1, lam)
         omega = 2.0 / (1.4 * lam)
         expected = x0 + omega * (b - K @ x0)
         assert np.allclose(x, expected, atol=1e-14)
@@ -232,7 +232,7 @@ class TestChebyshev:
         K = np.diag(eigs)
         nu, lam = 3, 1.0
         e0 = np.array([1.0, 1.0])
-        x = chebyshev(lambda v: K @ v, lambda v: v, np.zeros(2), e0, nu, lam)
+        x = e0 + chebyshev(lambda v: K @ v, lambda v: v, -K @ e0, nu, lam)
 
         low, high = 0.3 * lam, 1.1 * lam
         theta, delta = 0.5 * (high + low), 0.5 * (high - low)
@@ -257,14 +257,15 @@ class TestChebyshev:
         K = Q @ Q.T + 7 * np.eye(7)
         lam = estimate_lambda_max(lambda v: K @ v, 7)
         e = rng.standard_normal(7)
-        out1 = chebyshev(lambda v: K @ v, lambda v: v, np.zeros(7), e, 3, lam)
-        out2 = chebyshev(lambda v: K @ v, lambda v: v, np.zeros(7), 2.5 * e, 3, lam)
+        out1 = e + chebyshev(lambda v: K @ v, lambda v: v, -K @ e, 3, lam)
+        out2 = 2.5 * e + chebyshev(lambda v: K @ v, lambda v: v,
+                                   -K @ (2.5 * e), 3, lam)
         assert np.allclose(out2, 2.5 * out1, atol=1e-13 * np.abs(out1).max())
 
     def test_fallback_weight_on_bad_lambda(self):
         K = np.diag([1.0, 2.0])
         b = np.array([1.0, 1.0])
-        x = chebyshev(lambda v: K @ v, lambda v: v, b, np.zeros(2), 1, 0.0)
+        x = chebyshev(lambda v: K @ v, lambda v: v, b, 1, 0.0)
         assert np.allclose(x, (2.0 / 3.0) * b, atol=1e-15)
 
     def test_reduces_error_on_spd(self):
@@ -274,9 +275,9 @@ class TestChebyshev:
         lam = estimate_lambda_max(lambda v: K @ v, 20)
         xstar = rng.standard_normal(20)
         b = K @ xstar
-        x = chebyshev(lambda v: K @ v, lambda v: v, b, np.zeros(20), 5, lam)
+        x = chebyshev(lambda v: K @ v, lambda v: v, b, 5, lam)
         assert np.linalg.norm(x - xstar) < 0.5 * np.linalg.norm(xstar)
 
     def test_rejects_nu_zero(self):
         with pytest.raises(ValueError):
-            chebyshev(lambda v: v, lambda v: v, np.ones(2), np.zeros(2), 0, 1.0)
+            chebyshev(lambda v: v, lambda v: v, np.ones(2), 0, 1.0)

@@ -227,6 +227,28 @@ class TestMeshIO:
             load_mesh(path)
 
 
+    SQUARE = "0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"
+
+    def test_rejects_edge_named_twice(self, tmp_path):
+        path = tmp_path / "twice.mesh"
+        path.write_text("4 5 2\n" + self.SQUARE
+                        + "0 1 1\n1 2 2\n2 3 3\n3 0 4\n1 0 4\n")
+        with pytest.raises(MeshError, match=r"twice\.mesh: edge \(0, 1\) is "
+                                            r"marked more than once"):
+            load_mesh(path)
+
+    def test_rejects_boundary_edge_without_line(self, tmp_path):
+        path = tmp_path / "partial.mesh"
+        path.write_text("4 3 2\n" + self.SQUARE + "0 1 1\n1 2 2\n2 3 3\n")
+        with pytest.raises(MeshError, match=r"partial\.mesh: boundary edge "
+                                            r"\(0, 3\) has no marker line"):
+            load_mesh(path)
+
+    def test_no_boundary_lines_leave_mesh_unmarked(self, tmp_path):
+        path = tmp_path / "bare.mesh"
+        path.write_text("4 0 2\n" + self.SQUARE)
+        assert load_mesh(path).boundary_edge_markers == {}
+
 class TestNesting:
     def test_parent_vertices_embedded(self):
         mesh = generate_structured_grid(2)

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 from conftest import cavity_problem, pinned_solve, poiseuille_problem
 from dense_oracles import (dense_cycle_matrix, dense_fbf, eq_defect_correction,
-                           eq_two_level, level_smoother, probe_columns)
+                           eq_two_level, level_smoother, probe_columns,
+                           reference_vcycle)
 
 from stokesmg import solvers
 from stokesmg.assembly import assemble_pressure_mass, assemble_stokes
@@ -250,6 +251,53 @@ class TestDenseOracles:
         M_dense = dense_cycle_matrix(h)
         M_impl = probe_columns(lambda b: vcycle(h, b), h.levels[0].n)
         assert np.abs(M_dense - M_impl).max() <= 1e-11
+
+
+class TestResidualForm:
+    """`vcycle` smooths residuals from zero; the guess-carrying form in
+    `reference_vcycle` does the same arithmetic up to roundoff, with more
+    patch sweeps."""
+
+    HIERARCHIES = [  # family, k, refinements, cycle, n_V, monolithic
+        ("th", 3, 2, "phmg-direct", 2, True),
+        ("sv", 3, 1, "phmg-direct", 2, True),
+        ("th", 6, 2, "phmg-gradual", 3, True),
+        ("th", 2, 2, "hmg", 1, True),
+        ("th", 3, 2, "phmg-direct", 2, False),
+    ]
+
+    @staticmethod
+    def _hierarchy(family, k, refinements, cycle, n_V, monolithic):
+        prob = lid_driven_cavity(refinements, k, family=family)
+        return build_hierarchy(prob, refinements, cycle,
+                               monolithic=monolithic, n_V=n_V)
+
+    @pytest.mark.parametrize("config", HIERARCHIES)
+    def test_matches_guess_carrying_cycle(self, config):
+        h = self._hierarchy(*config)
+        b = np.random.default_rng(41).standard_normal(h.n)
+        ref = reference_vcycle(h, b)
+        assert (np.abs(vcycle(h, b) - ref).max()
+                <= 1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("config", [HIERARCHIES[0], HIERARCHIES[2],
+                                        HIERARCHIES[4]])
+    def test_two_nu_sweeps_per_level_visit(self, config, monkeypatch):
+        h = self._hierarchy(*config)
+        calls = []
+
+        def counted(patches, r, _apply=solvers.asm_apply):
+            calls.append(patches)
+            return _apply(patches, r)
+
+        monkeypatch.setattr(solvers, "asm_apply", counted)
+        vcycle(h, np.ones(h.n))
+        expected, visits = 0, 1
+        for upper, level in zip(h.levels, h.levels[1:]):
+            expected += 2 * upper.nu * visits
+            if upper.kind == "p" and level.kind == "h":
+                visits *= h.n_V
+        assert len(calls) == expected
 
 
 def _snapshot(obj):

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 from scipy.spatial import Delaunay
 
-from stokesmg.mesh import Mesh, save_mesh
+from stokesmg.mesh import Mesh, _set_markers, save_mesh
 
 H = 0.4          # target point spacing
 JITTER = 0.22    # interior jitter as a fraction of H
@@ -92,12 +92,10 @@ def build():
     cells[flip] = cells[flip][:, [0, 2, 1]]
 
     mesh = Mesh(pts, cells)
-    markers = {}
-    for e in sorted(mesh.boundary_edges):
-        a, b = mesh.edges[e]
-        mid = (mesh.vertices[a] + mesh.vertices[b]) / 2
-        markers[e] = marker_for(mid)
-    return Mesh(pts, cells, boundary_edge_markers=markers)
+    ids = np.array(sorted(mesh.boundary_edges), dtype=np.int64)
+    mids = mesh.vertices[mesh.edges[ids]].mean(axis=1)
+    _set_markers(mesh, ids, [marker_for(mid) for mid in mids])
+    return mesh
 
 
 if __name__ == "__main__":
