@@ -73,13 +73,16 @@ class KrylovReport:
 
     `history` starts at the initial residual norm; within a restart cycle the
     entries are the Givens residual estimates, and `final_residual` is the
-    true residual of the returned iterate.
+    true residual of the returned iterate. `reason` names how the solve
+    ended: "converged", "maxiter" (the iteration budget ran out first) or
+    "nonfinite" (a residual estimate became NaN or inf).
     """
 
     iterations: int
     history: np.ndarray
     converged: bool
     final_residual: float
+    reason: str
     precond_times: list = field(default_factory=list)
 
 
@@ -182,6 +185,8 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
         history=np.array(history),
         converged=converged,
         final_residual=final_residual,
+        reason=("converged" if converged
+                else "nonfinite" if nonfinite else "maxiter"),
         precond_times=precond_times,
     )
     return x, report

@@ -20,14 +20,28 @@ The operator must be symmetric, as every operator assembled here is:
 each patch matrix is inverted through its Bunch-Kaufman LDL^T
 factorization (LAPACK dsytrf + dsytri), half the work of LU + inversion,
 and a nonsymmetric K is rejected with a ValueError. Factoring stores the
-smoother as `blocks`, one `(I, X)` pair per distinct patch size m: `I`
-(p, m) stacks the index lists of the p patches of that size and `X`
-(p, m, m) their weighted inverses W_i inv(K(i)). A sweep is then one
-stacked product and one scatter-add per size, with no per-patch Python
-work.
+smoother as `blocks`, a flat list of `(I, X)` pairs, one per chunk of
+equal-size patches, in order of patch size: `I` (p, m) stacks the index
+lists of the chunk's p patches of size m and `X` (p, m, m) their weighted
+inverses W_i inv(K(i)). Each size group is split evenly into chunks of at
+most about CHUNK_BYTES of `X`; the cut depends on the patch sizes alone. A
+sweep is one stacked product per chunk and one scatter-add that sums the
+chunk contributions in chunk order, with no per-patch Python work.
+
+Chunks are the unit of parallel work. A level whose patch inverses hold at
+least PARALLEL_BYTES inverts its gathered chunks, and forms their products
+in a sweep, on a shared pool of threads, one per CPU the process may run
+on (LAPACK and NumPy's products release the interpreter lock); the sum in
+chunk order makes a sweep bitwise the same for any number of workers.
+Smaller levels, where a thread handoff costs more than it saves, run on
+the calling thread.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri
@@ -52,10 +66,70 @@ SYMMETRY_TOL = 1e-12
 GATHER_ROWS = 4096
 GATHER_TABLE = 1 << 20
 
+#: Bytes of patch inverses per chunk, the unit of parallel work: 44 chunks
+#: on the finest SV k4 level (283 MB), enough to balance two or more
+#: workers, and few enough that the per-chunk overhead stays small.
+CHUNK_BYTES = 8 << 20
+
+#: Levels whose patch inverses hold fewer bytes run on the calling thread. A
+#: thread handoff costs about 0.1-0.15 ms; interleaved serial and 2-thread
+#: sweeps (medians of 60, 2-core host) ran 1.40-1.64x faster at 270 MB (SV
+#: k4 finest level) and 1.43-1.59x at 35 MB (TH k4 finest), but
+#: 0.90-1.17x at 9.8 MB (TH k4 velocity finest) and 0.27-0.82x at 2.5 MB
+#: and below.
+PARALLEL_BYTES = 16 << 20
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """Drop the pool in a forked child, where its threads do not exist."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    """The shared thread pool, started on first use with one worker per CPU
+    the process may run on; None when there is only one."""
+    global _pool
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        workers = os.cpu_count() or 1
+    if workers < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers,
+                                       thread_name_prefix="stokesmg")
+        return _pool
+
+
+def _run(fn, items, nbytes):
+    """[fn(item) for item in items], on the shared pool when the work spans
+    at least PARALLEL_BYTES.
+
+    Results keep the order of `items`. A failing call does not stop the
+    others: every call finishes, then the first failure in item order is
+    raised, as a loop would raise it.
+    """
+    pool = _executor() if nbytes >= PARALLEL_BYTES and len(items) > 1 \
+        else None
+    if pool is None:
+        return [fn(item) for item in items]
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
+
 
 class PatchSet:
-    """Per-vertex DoF index lists, plus the size-grouped weighted patch
-    inverses (`blocks`) once factored."""
+    """Per-vertex DoF index lists, plus the weighted patch inverses in
+    chunks of equal-size patches (`blocks`) once factored."""
 
     def __init__(self, n, vertices, indices, blocks=None):
         self.n = n
@@ -216,11 +290,10 @@ def factor_patches(K, patches):
         minlength=patches.n,
     )
     sizes = np.array([len(idx) for idx in patches.indices], dtype=np.intp)
-    blocks = []
-    for m in np.unique(sizes):
-        members = np.flatnonzero(sizes == m)
-        I = np.stack([patches.indices[i] for i in members])
-        X = _gather(K, I)
+
+    def invert(chunk):
+        members, I, X = chunk
+        m = I.shape[1]
         lower = np.tri(m, k=-1, dtype=bool)
         lwork = max(int(dsytrf_lwork(m, lower=1)[0]), 1)  # blocked dsytrf
         for i, x in zip(members, X):
@@ -235,17 +308,46 @@ def factor_patches(K, patches):
                 ) from exc
             np.copyto(x, x.T, where=lower)
         X *= (1.0 / multiplicity[I])[:, :, None]
-        blocks.append((I, X))
+        return I, X
+
+    blocks = _run(invert, _chunks(K, patches, sizes),
+                  8 * int(np.sum(sizes**2)))
     return PatchSet(patches.n, list(patches.vertices),
                     list(patches.indices), blocks)
+
+
+def _chunks(K, patches, sizes):
+    """(patch numbers, index lists I, patch matrices X) of every chunk, in
+    size order.
+
+    Each group of equal-size patches is gathered here, on the calling
+    thread, and split evenly into the fewest chunks of at most CHUNK_BYTES
+    of X (one patch per chunk where a single patch is larger); the chunks
+    are views of the group's arrays. On the workers, the mostly
+    interpreter-bound gather of the SV k4 finest level took 0.26 s instead
+    of 0.38 s, but the arrays and temporaries it left in the workers' own
+    malloc heaps raised the peak RSS of repeated setups and solves from
+    about 440 MB to 460-540 MB.
+    """
+    chunks = []
+    for m in np.unique(sizes):
+        members = np.flatnonzero(sizes == m)
+        I = np.stack([patches.indices[i] for i in members])
+        X = _gather(K, I)
+        pieces = min(-(-X.nbytes // CHUNK_BYTES), len(members))
+        chunks += zip(*(np.array_split(a, pieces) for a in (members, I, X)))
+    return chunks
 
 
 def asm_apply(patches, r):
     """One additive Schwarz sweep: z = sum_i I^T W inv(K_i) I r."""
     if patches.blocks is None:
         raise ValueError("patches must be factored first")
-    z = np.zeros_like(r)
-    for I, X in patches.blocks:
-        z += np.bincount(I.ravel(), (X @ r[I][..., None]).ravel(),
-                         minlength=len(r))
-    return z
+    blocks = patches.blocks
+    if not blocks:
+        return np.zeros_like(r)
+    products = _run(lambda block: block[1] @ r[block[0]][..., None], blocks,
+                    sum(X.nbytes for _, X in blocks))
+    return np.bincount(np.concatenate([I.ravel() for I, _ in blocks]),
+                       np.concatenate([y.ravel() for y in products]),
+                       minlength=len(r))

@@ -143,7 +143,9 @@ class MGHierarchy:
     """Ordered multigrid levels, finest first, plus the coarse solver.
 
     Built hierarchies are immutable by convention: `vcycle` only reads from
-    them, so one hierarchy can serve many concurrent solves.
+    them, so one hierarchy can serve many concurrent solves. Sweeps of the
+    large levels from all of these solves share one thread pool per process
+    (see `relaxation`), and each gives the same bits as a solve run alone.
     """
 
     def __init__(self, levels, coarse, pinned_dof, n_V, nu_p, nu_h):

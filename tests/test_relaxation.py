@@ -1,9 +1,14 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import cavity_problem
-from dense_oracles import loop_star_patches, loop_vanka_patches
+from dense_oracles import dense_asm, loop_star_patches, loop_vanka_patches
+from stokesmg import relaxation
 from stokesmg.assembly import assemble_stokes, assemble_vector_laplacian
 from stokesmg.linalg import SingularMatrixError, estimate_lambda_max
 from stokesmg.mesh import (
@@ -326,6 +331,134 @@ class TestAsmApply:
         patches = build_star_patches(mesh, vel)
         with pytest.raises(ValueError, match="factored"):
             asm_apply(patches, np.zeros(vel.num_dofs))
+
+
+def vanka_level(family):
+    """Operator and Vanka patches of a small TH k3 or SV k4 level."""
+    if family == "th":
+        prob = cavity_problem(k=3)
+        mesh = refine_uniform(prob.base_mesh)
+    else:
+        prob = cavity_problem(k=4, family="sv")
+        mesh = refine_barycentric(prob.base_mesh)
+    system = assemble_stokes(prob, mesh)
+    return system.K, build_vanka_star_patches(
+        mesh, system.velocity_space, system.pressure_space,
+        system.dirichlet_dofs,
+    )
+
+
+class TestParallelPath:
+    """With 32 kB chunks and no size threshold, small levels take the
+    multi-chunk path, here on a thread pool of a chosen size."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(relaxation, "CHUNK_BYTES", 1 << 15)
+        monkeypatch.setattr(relaxation, "PARALLEL_BYTES", 0)
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """workers(count) routes the parallel work to a pool of `count`
+        threads; count None runs it on the calling thread."""
+        pools = []
+
+        def use(count):
+            pool = None if count is None else ThreadPoolExecutor(count)
+            pools.extend([pool] if pool else [])
+            monkeypatch.setattr(relaxation, "_executor", lambda: pool)
+
+        yield use
+        for pool in pools:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("family", ["th", "sv"])
+    def test_matches_dense_oracle(self, family, workers):
+        K, patches = vanka_level(family)
+        workers(2)
+        factored = factor_patches(K, patches)
+        sizes = {len(idx) for idx in patches.indices}
+        assert len(factored.blocks) > len(sizes)  # groups were split
+        r = np.random.default_rng(61).standard_normal(K.shape[0])
+        expected = dense_asm(K.toarray(), patches.indices) @ r
+        error = np.abs(asm_apply(factored, r) - expected).max()
+        assert error <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("family", ["th", "sv"])
+    def test_bitwise_equal_for_any_worker_count(self, family, workers):
+        K, patches = vanka_level(family)
+        r = np.random.default_rng(67).standard_normal(K.shape[0])
+        results = []
+        for count in (None, 1, 2):
+            workers(count)
+            factored = factor_patches(K, patches)
+            results.append((factored.blocks, asm_apply(factored, r)))
+        (blocks, z), others = results[0], results[1:]
+        for other_blocks, other_z in others:
+            assert len(other_blocks) == len(blocks)
+            for (I, X), (J, Y) in zip(blocks, other_blocks):
+                assert np.array_equal(I, J) and np.array_equal(X, Y)
+            assert np.array_equal(other_z, z)
+
+    def test_singular_patch_in_later_chunk_names_its_vertex(self, workers):
+        K, patches = vanka_level("th")
+        workers(2)
+        blocks = factor_patches(K, patches).blocks
+        n = K.shape[0]
+        # a DoF outside the first chunk, shared by patches of most chunks
+        chunks_with = sum(np.bincount(I.ravel(), minlength=n) > 0
+                          for I, _ in blocks[1:])
+        chunks_with[blocks[0][0].ravel()] = 0
+        dof = int(np.argmax(chunks_with))
+        assert chunks_with[dof] >= 2
+        # the first patch holding it in the serial (size, patch) order
+        order = sorted(range(len(patches)),
+                       key=lambda i: (len(patches.indices[i]), i))
+        vertex = next(patches.vertices[i] for i in order
+                      if dof in patches.indices[i])
+        K = K.tolil()
+        K[dof, :] = 0.0
+        K[:, dof] = 0.0
+        with pytest.raises(SingularMatrixError,
+                           match=f"singular patch matrix at vertex {vertex}:"):
+            factor_patches(K.tocsr(), patches)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # More callers than cores start the shared pool at once and sweep
+        # on it; a race on its creation would hand out two pools.
+        K, patches = vanka_level("sv")
+        r = np.random.default_rng(71).standard_normal(K.shape[0])
+        monkeypatch.setattr(relaxation, "PARALLEL_BYTES", 1 << 62)
+        factored = factor_patches(K, patches)
+        expected = asm_apply(factored, r)  # on this thread
+        monkeypatch.setattr(relaxation, "PARALLEL_BYTES", 0)
+        monkeypatch.setattr(relaxation, "_pool", None)
+        callers = 8
+        start = threading.Barrier(callers)
+        pools, sweeps = [None] * callers, [None] * callers
+
+        def call(i):
+            start.wait()
+            pools[i] = relaxation._executor()
+            sweeps[i] = [asm_apply(factored, r) for _ in range(3)]
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        pool = relaxation._pool
+        if pool is not None:
+            pool.shutdown()
+        assert all(p is pool for p in pools)
+        assert all(np.array_equal(z, expected) for zs in sweeps for z in zs)
 
 
 class TestSmoothingProperty:

@@ -20,6 +20,18 @@ from stokesmg.solvers import (FBFPreconditioner, MGHierarchy, build_fbf,
                               p_coarsening_schedule, solve_stokes, vcycle)
 
 
+def run_script(script):
+    """Run `script` in a fresh interpreter that imports this stokesmg, with
+    one BLAS thread; fail with its stderr unless it exits with status 0."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 class TestPCoarseningSchedule:
     @pytest.mark.parametrize("k,mode,expected", [
         (2, "direct", [2]),
@@ -448,6 +460,7 @@ class TestSolveStokes:
         system, pc = build_solver(prob, 2, "hmg")
         x, rep = solve_stokes(system, pc)
         assert rep.converged
+        assert rep.reason == "converged"
         assert rep.iterations <= 60
         ref = pinned_solve(system)
         n_u = system.velocity_space.num_dofs
@@ -493,21 +506,35 @@ class TestSolveStokes:
         system, _ = build_solver(prob, 1, "hmg")
         x, rep = solve_stokes(system, lambda v: np.full_like(v, np.nan))
         assert not rep.converged
+        assert rep.reason == "nonfinite"
         assert rep.iterations <= 1
+        assert np.all(np.isfinite(x))
+
+    def test_exhausted_budget_reports_maxiter(self):
+        prob = lid_driven_cavity(1, 2)
+        system, pc = build_solver(prob, 1, "hmg")
+        x, rep = solve_stokes(system, pc, maxiter=2)
+        assert not rep.converged
+        assert rep.reason == "maxiter"
+        assert rep.iterations == 2
         assert np.all(np.isfinite(x))
 
     def test_concurrent_solves_match_serial(self):
         # A race on shared factorization state can corrupt the heap and
         # abort the interpreter, so the threads run in a child process.
+        # With the threshold at zero every level factors and sweeps on the
+        # shared thread pool, which both solves feed at once.
         script = """
 import sys
 import threading
 
 import numpy as np
 
+from stokesmg import relaxation
 from stokesmg.problems import lid_driven_cavity
 from stokesmg.solvers import build_solver, solve_stokes
 
+relaxation.PARALLEL_BYTES = 0
 for solver in ("phmg-direct", "fbf-phmg"):
     system, pc = build_solver(lid_driven_cavity(1, 3, base_n=8), 1, solver)
     serial, _ = solve_stokes(system, pc)
@@ -526,13 +553,48 @@ for solver in ("phmg-direct", "fbf-phmg"):
                    for x in results):
             sys.exit(f"{solver}: a threaded solve differs from the serial one")
 """
-        src = os.path.dirname(os.path.dirname(solvers.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        run_script(script)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_fork_after_threaded_sweep(self):
+        # The parent's pool threads do not exist in a forked child; a child
+        # that reused the parent's pool would wait forever for its sweep.
+        script = """
+import os
+import signal
+import sys
+import time
+import warnings
+
+import numpy as np
+
+from stokesmg import relaxation
+from stokesmg.problems import lid_driven_cavity
+from stokesmg.solvers import build_hierarchy
+
+relaxation.PARALLEL_BYTES = 0
+level = build_hierarchy(lid_driven_cavity(1, 3, base_n=8), 1,
+                        "phmg-direct").levels[0]
+r = np.random.default_rng(5).standard_normal(level.n)
+z = relaxation.asm_apply(level.patches, r)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+    pid = os.fork()
+if pid == 0:
+    same = np.array_equal(relaxation.asm_apply(level.patches, r), z)
+    os._exit(0 if same else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(0 if os.waitstatus_to_exitcode(status) == 0
+                 else "the child's sweep differs from the parent's")
+    time.sleep(0.05)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the child's sweep did not finish")
+"""
+        run_script(script)
 
     def test_unknown_solver_name(self):
         prob = cavity_problem(n=2)
