@@ -13,6 +13,7 @@ pattern of the assembled operator is preserved for nnz accounting.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +71,16 @@ class ProblemInstance:
     def __post_init__(self):
         if self.family not in (TAYLOR_HOOD, SCOTT_VOGELIUS):
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("k", "refinements"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 2:
             raise ValueError("inf-sup stable discretizations need k >= 2")
+        if self.refinements < 0:
+            raise ValueError(
+                f"refinements must be >= 0, got {self.refinements}")
         both = set(self.dirichlet) & set(self.neumann)
         if both:
             raise ValueError(f"markers {sorted(both)} have two conditions")
@@ -156,12 +165,13 @@ def _physical_grads(space, rule):
 
 
 def assemble_vector_laplacian(space, rule=None):
-    """A = integral grad(u):grad(v) on a 2-component space, CSR.
+    """A = integral grad(u):grad(v) on a space of any component count, CSR.
 
-    The operator does not couple components, but the cross-component zeros
-    are stored anyway: per node pair the matrix holds a dense blocks x
-    blocks entry set, matching how block-structured solver backends
-    preallocate, so stored-entry counts are comparable.
+    On one component this is the scalar Laplacian. The operator does not
+    couple components, but the cross-component zeros are stored anyway:
+    per node pair the matrix holds a dense blocks x blocks entry set,
+    matching how block-structured solver backends preallocate, so
+    stored-entry counts are comparable.
     """
     rule = rule or quadrature_rule(max(2 * space.k, 1))
     _, grads, detJ = _physical_grads(space, rule)
@@ -334,23 +344,16 @@ def eliminate_dirichlet(K, dofs, values, b=None):
 
 def stokes_spaces(mesh, family, k):
     """Velocity/pressure space pair for a discretization family."""
-    return (build_space(mesh, k, "continuous", components=2),
-            _pressure_space(mesh, family, k))
-
-
-def _pressure_space(mesh, family, k):
     continuity = "continuous" if family == TAYLOR_HOOD else "discontinuous"
-    return build_space(mesh, k - 1, continuity)
+    return (build_space(mesh, k, "continuous", components=2),
+            build_space(mesh, k - 1, continuity))
 
 
-def assemble_stokes(problem, mesh, k=None, family=None, *, _velocity=None):
+def assemble_stokes(problem, mesh, k=None, family=None):
     """Assemble the saddle system for `problem` on `mesh`.
 
     `k` and `family` override the problem's values; multilevel solvers use
-    this to rediscretize on coarser meshes and degrees. `_velocity` is for
-    those solvers too: a velocity block they already built on `mesh` at
-    degree k, as (space, raw A, Dirichlet DoFs, Dirichlet values), which is
-    then shared instead of built again.
+    this to rediscretize on coarser meshes and degrees.
     """
     k = problem.k if k is None else k
     family = problem.family if family is None else family
@@ -362,13 +365,9 @@ def assemble_stokes(problem, mesh, k=None, family=None, *, _velocity=None):
                 "Scott-Vogelius requires a barycentrically refined mesh"
             )
     rule = quadrature_rule(2 * k)
-    if _velocity is None:
-        velocity, pressure = stokes_spaces(mesh, family, k)
-        A = assemble_vector_laplacian(velocity, rule)
-        dofs, values = collect_dirichlet(velocity, problem.dirichlet)
-    else:
-        velocity, A, dofs, values = _velocity
-        pressure = _pressure_space(mesh, family, k)
+    velocity, pressure = stokes_spaces(mesh, family, k)
+    A = assemble_vector_laplacian(velocity, rule)
+    dofs, values = collect_dirichlet(velocity, problem.dirichlet)
 
     B = assemble_divergence(velocity, pressure, rule)
     b_u = _assemble_forcing(velocity, problem.forcing, rule)

@@ -96,7 +96,16 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
     not raised. A non-finite residual estimate (a preconditioner or operator
     that produced NaN or inf) ends the solve at once, unconverged, with the
     last finite iterate.
+
+    `restart` (Krylov directions per cycle) must be >= 1, and `maxiter`
+    and `rtol` >= 0; anything else raises a ValueError.
     """
+    if restart < 1:
+        raise ValueError(f"restart must be >= 1, got {restart}")
+    if maxiter < 0:
+        raise ValueError(f"maxiter must be >= 0, got {maxiter}")
+    if not rtol >= 0:
+        raise ValueError(f"rtol must be >= 0, got {rtol}")
     b = np.asarray(b, dtype=np.float64)
     n = len(b)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)

@@ -6,8 +6,8 @@ One sweep applies
 
 with one patch per mesh vertex. Vanka patches (monolithic relaxation) take
 velocity DoFs on the closure of the vertex star and pressure DoFs on the
-star itself; star patches (velocity-only relaxation inside the block
-preconditioner) take velocity DoFs on the star only. W_i is the inverse
+star itself; star patches (the scalar Laplacian relaxation inside the
+block preconditioner) take the DoFs on the star only. W_i is the inverse
 patch-multiplicity of each DoF, so the weights of a DoF across patches sum
 to one.
 
@@ -26,7 +26,9 @@ lists of the chunk's p patches of size m and `X` (p, m, m) their weighted
 inverses W_i inv(K(i)). Each size group is split evenly into chunks of at
 most about CHUNK_BYTES of `X`; the cut depends on the patch sizes alone. A
 sweep is one stacked product per chunk and one scatter-add that sums the
-chunk contributions in chunk order, with no per-patch Python work.
+chunk contributions in chunk order, through an index built once at
+factoring, with no per-patch Python work. A sweep of an (n, c) block of
+columns does the same, with c columns per product.
 
 Chunks are the unit of parallel work. A level whose patch inverses hold at
 least PARALLEL_BYTES inverts its gathered chunks, and forms their products
@@ -75,8 +77,8 @@ CHUNK_BYTES = 8 << 20
 #: thread handoff costs about 0.1-0.15 ms; interleaved serial and 2-thread
 #: sweeps (medians of 60, 2-core host) ran 1.40-1.64x faster at 270 MB (SV
 #: k4 finest level) and 1.43-1.59x at 35 MB (TH k4 finest), but
-#: 0.90-1.17x at 9.8 MB (TH k4 velocity finest) and 0.27-0.82x at 2.5 MB
-#: and below.
+#: 0.90-1.17x at 9.8 MB (TH k4 two-component velocity Laplacian, finest
+#: level) and 0.27-0.82x at 2.5 MB and below.
 PARALLEL_BYTES = 16 << 20
 
 _pool = None
@@ -128,14 +130,17 @@ def _run(fn, items, nbytes):
 
 
 class PatchSet:
-    """Per-vertex DoF index lists, plus the weighted patch inverses in
-    chunks of equal-size patches (`blocks`) once factored."""
+    """Per-vertex DoF index lists, plus, once factored, the weighted patch
+    inverses in chunks of equal-size patches (`blocks`) and the sweep's
+    scatter index (`scatter`), the rows of every `I` in chunk order."""
 
     def __init__(self, n, vertices, indices, blocks=None):
         self.n = n
         self.vertices = vertices
         self.indices = indices
         self.blocks = blocks
+        self.scatter = None if blocks is None else np.concatenate(
+            [np.empty(0, dtype=np.intp)] + [I.ravel() for I, _ in blocks])
 
     def __len__(self):
         return len(self.indices)
@@ -340,14 +345,32 @@ def _chunks(K, patches, sizes):
 
 
 def asm_apply(patches, r):
-    """One additive Schwarz sweep: z = sum_i I^T W inv(K_i) I r."""
+    """One additive Schwarz sweep: z = sum_i I^T W inv(K_i) I r.
+
+    `r` is an (n,) vector or an (n, c) block of c columns, each swept alike
+    with the same patch inverses: one stacked product per chunk serves all
+    columns, and the scatter adds entry (g, j) at flat position g c + j.
+    """
     if patches.blocks is None:
         raise ValueError("patches must be factored first")
     blocks = patches.blocks
     if not blocks:
         return np.zeros_like(r)
-    products = _run(lambda block: block[1] @ r[block[0]][..., None], blocks,
-                    sum(X.nbytes for _, X in blocks))
-    return np.bincount(np.concatenate([I.ravel() for I, _ in blocks]),
-                       np.concatenate([y.ravel() for y in products]),
-                       minlength=len(r))
+    if r.ndim == 1:
+        def product(block):
+            return block[1] @ r[block[0]][..., None]
+        scatter = patches.scatter
+    else:
+        # take, and the index built one column at a time: on the TH k4
+        # scalar finest level (c = 2), fancy indexing r[I] took about
+        # 200 us against 20 us, and broadcasting over the trailing axis of
+        # length c about 170 us against 40 us
+        def product(block):
+            return block[1] @ r.take(block[0], axis=0)
+        c = r.shape[1]
+        scatter = np.stack([patches.scatter * c + j for j in range(c)],
+                           axis=1).ravel()
+    products = _run(product, blocks, sum(X.nbytes for _, X in blocks))
+    z = np.bincount(scatter, np.concatenate([y.ravel() for y in products]),
+                    minlength=r.size)
+    return z.reshape(r.shape)

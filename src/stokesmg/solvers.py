@@ -7,15 +7,17 @@ problem's degree; "phmg-direct" and "phmg-gradual" first lower the degree
 on the finest mesh (straight to 2, or through one intermediate degree) and
 then coarsen in mesh size at degree 2. A monolithic hierarchy carries the
 full Taylor-Hood/Scott-Vogelius saddle system on every level; a
-velocity-only one carries the velocity Laplacian alone. Relaxation on every
-level is Chebyshev-accelerated additive Schwarz over vertex patches; the
-coarsest level is solved by dense LU.
+velocity-only one carries the scalar Laplacian of one velocity component.
+Relaxation on every level is Chebyshev-accelerated additive Schwarz over
+vertex patches; the coarsest level is solved by dense LU.
 
 The monolithic hierarchies precondition the saddle system directly. The
 FBF preconditioner instead applies a block LDU factorization of the saddle
 system, approximating the velocity-block inverse by one V-cycle of a
 velocity-only hierarchy and the Schur complement by the pressure mass
-matrix.
+matrix. The velocity block, grad:grad on interleaved components (DoF
+2g + c), is two copies of the scalar Laplacian with the same Dirichlet
+rows, so one cycle on the (n, 2) block of both components inverts it.
 
 All hierarchy operators are rediscretized (not Galerkin products); the two
 agree on interior rows here because the bilinear forms carry no
@@ -34,7 +36,7 @@ from .assembly import (
     assemble_pressure_mass,
     assemble_stokes,
     assemble_vector_laplacian,
-    collect_dirichlet,
+    collect_dirichlet,  # noqa: F401, a traced name (perfbench/tracer.py)
     eliminate_dirichlet,
 )
 from .linalg import chebyshev, dense_lu, estimate_lambda_max, fgmres
@@ -114,9 +116,8 @@ class MGLevel:
     this one (None on the coarsest). `kind` tags the level as p- or
     h-coarsened, which picks the sweep count and where the inner-cycle
     count applies. For monolithic levels `system` is the full saddle
-    assembly; velocity-only levels carry `space`, the operator `A` before
-    Dirichlet elimination and the `dirichlet_values`, from which the FBF
-    outer system shares its velocity block.
+    assembly; velocity-only levels carry the scalar `space` of their
+    Laplacian instead, and `dirichlet_dofs` are then scalar DoFs.
     """
 
     K: object
@@ -131,8 +132,6 @@ class MGLevel:
     dirichlet_dofs: np.ndarray
     system: object = None
     space: object = None
-    A: object = None
-    dirichlet_values: np.ndarray = None
 
     @property
     def n(self):
@@ -186,7 +185,8 @@ class MGHierarchy:
         return self.levels[0].n
 
     def coarse_solve(self, r):
-        """Direct solve on the coarsest level.
+        """Direct solve on the coarsest level, of an (n,) vector or an
+        (n, c) block of columns.
 
         When the coarsest operator carries the constant-pressure nullspace,
         one pressure DoF is pinned to zero; for consistent right-hand sides
@@ -199,7 +199,8 @@ class MGHierarchy:
         return self.coarse.solve(r)
 
     def level_summary(self):
-        """(kind, family, degree, cells, dofs) per level, finest first."""
+        """(kind, family, degree, cells, dofs) per level, finest first; the
+        DoFs of a velocity-only level are those of its scalar space."""
         return [
             (lv.kind, lv.family, lv.k, lv.mesh.num_cells, lv.n)
             for lv in self.levels
@@ -285,13 +286,13 @@ def _build_level(problem, spec, is_coarsest, nu_p, nu_h):
         system = assemble_stokes(problem, spec.mesh, k=spec.k,
                                  family=spec.family)
         K, dirichlet = system.K, system.dirichlet_dofs
-        space = A = values = None
+        space = None
     else:
         system = None
-        space = build_space(spec.mesh, spec.k, "continuous", components=2)
-        A = assemble_vector_laplacian(space)
-        dirichlet, values = collect_dirichlet(space, problem.dirichlet)
-        K, _ = eliminate_dirichlet(A, dirichlet, values)
+        space = build_space(spec.mesh, spec.k, "continuous")
+        dirichlet = space.boundary_scalar_dofs(markers=set(problem.dirichlet))
+        K, _ = eliminate_dirichlet(assemble_vector_laplacian(space),
+                                   dirichlet, 0.0)
 
     patches, lam, nu = None, 0.0, 0
     if not is_coarsest:
@@ -313,8 +314,7 @@ def _build_level(problem, spec, is_coarsest, nu_p, nu_h):
     return MGLevel(
         K=K, patches=patches, nu=nu, lambda_max=lam, P=None, kind=spec.kind,
         family=spec.family, k=spec.k, mesh=spec.mesh,
-        dirichlet_dofs=dirichlet, system=system, space=space, A=A,
-        dirichlet_values=values,
+        dirichlet_dofs=dirichlet, system=system, space=space,
     )
 
 
@@ -349,9 +349,11 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
     """Multigrid hierarchy for the saddle system or its velocity block.
 
     `cycle` is "hmg", "phmg-direct" or "phmg-gradual" (see `level_specs`).
-    A monolithic hierarchy preconditions the full saddle system; with
-    `monolithic=False` it covers the velocity Laplacian alone, relaxed over
-    vertex-star patches (no closure ring, no pressure), as used inside FBF.
+    A monolithic hierarchy preconditions the full saddle system. With
+    `monolithic=False` it covers the scalar Laplacian of one velocity
+    component, as used inside FBF: one-component spaces, the problem's
+    Dirichlet boundary eliminated with zero values, vertex-star patches (no
+    closure ring, no pressure), scalar transfers and a scalar coarse LU.
     The h-portion runs `n_V` times per outer cycle; `nu_p`/`nu_h` are the
     sweep counts on p- and h-levels (defaults in `DEFAULT_CYCLE_PARAMS`).
     """
@@ -390,6 +392,10 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
 def vcycle(hierarchy, b, timer=None):
     """One multigrid V-cycle x = M b for `hierarchy`'s finest operator.
 
+    `b` is an (n,) vector or an (n, c) block; the cycle is linear and acts
+    on each column alike, so one pass over a block serves all its columns
+    with the same sweeps, SpMVs and coarse solves.
+
     Every smoothing call and coarse correction starts from zero on a
     residual: per level, x = `nu` Chebyshev-accelerated additive Schwarz
     steps on b, x += P (cycle of P^T (b - K x)), x += `nu` steps on b - K x.
@@ -398,9 +404,10 @@ def vcycle(hierarchy, b, timer=None):
     directly. A level visit costs 2 nu patch sweeps and 2 nu SpMVs with K.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (hierarchy.n,):
+    if b.ndim not in (1, 2) or b.shape[0] != hierarchy.n:
         raise ValueError(
-            f"right-hand side has shape {b.shape}, expected ({hierarchy.n},)"
+            f"right-hand side has shape {b.shape}, expected ({hierarchy.n},) "
+            f"or ({hierarchy.n}, c)"
         )
     if timer is None:
         timer = Timings()
@@ -498,23 +505,24 @@ def _blockwise_mass_solver(pressure_space, M):
 def build_fbf(system, inner, schur_solve=None):
     """FBF preconditioner for `system` with velocity solver `inner`.
 
-    `inner` is a velocity-block MGHierarchy (one V-cycle per application)
-    or any callable r -> z approximating A^{-1} r (used to study the
-    factorization with the velocity solve made exact). `schur_solve`
-    defaults to an exact factorization of the pressure mass matrix:
-    blockwise dense LU for discontinuous pressure, sparse LU for
-    continuous.
+    `inner` is a velocity-only MGHierarchy of the scalar Laplacian, of half
+    the velocity block's dimension: one application is one V-cycle on the
+    (n_u / 2, 2) block of both interleaved components. It may also be any
+    callable r -> z approximating A^{-1} r (used to study the factorization
+    with the velocity solve made exact). `schur_solve` defaults to an exact
+    factorization of the pressure mass matrix: blockwise dense LU for
+    discontinuous pressure, sparse LU for continuous.
     """
     n_u, n_p = system.n_u, system.n_p
     if isinstance(inner, MGHierarchy):
-        if inner.n != n_u:
+        if 2 * inner.n != n_u:
             raise ValueError(
-                f"velocity hierarchy dimension {inner.n} does not match "
-                f"the velocity block ({n_u})"
+                f"velocity hierarchy dimension {inner.n} is not half the "
+                f"velocity block ({n_u})"
             )
 
         def apply_Ainv(r, timer=None, _h=inner):
-            return vcycle(_h, r, timer=timer)
+            return vcycle(_h, r.reshape(-1, 2), timer=timer).ravel()
     elif callable(inner):
         def apply_Ainv(r, timer=None, _f=inner):
             return _f(r)
@@ -567,11 +575,10 @@ def build_solver(problem, refinements, solver, n_V=None, nu_p=None,
 
     `solver` is one of hmg, phmg-direct, phmg-gradual, fbf-hmg, fbf-phmg.
     The monolithic solvers are `build_hierarchy` with the solver name as
-    its cycle. The FBF variants pair a velocity-only hierarchy
-    (h-coarsened, or p-then-h with the direct schedule) with the
-    pressure-mass Schur approximation; the outer saddle system is assembled
-    on the velocity hierarchy's finest mesh and shares that level's velocity
-    space, Laplacian and Dirichlet data.
+    its cycle. The FBF variants pair a velocity-only hierarchy of the
+    scalar Laplacian (h-coarsened, or p-then-h with the direct schedule)
+    with the pressure-mass Schur approximation; the outer saddle system is
+    assembled on that hierarchy's finest mesh.
     """
     if solver in HIERARCHY_CYCLES:
         h = build_hierarchy(problem, refinements, solver, n_V=n_V, nu_p=nu_p,
@@ -581,10 +588,7 @@ def build_solver(problem, refinements, solver, n_V=None, nu_p=None,
         cycle = "hmg" if solver == "fbf-hmg" else "phmg-direct"
         inner = build_hierarchy(problem, refinements, cycle, monolithic=False,
                                 n_V=n_V, nu_p=nu_p, nu_h=nu_h)
-        top = inner.levels[0]
-        system = assemble_stokes(
-            problem, top.mesh, _velocity=(top.space, top.A, top.dirichlet_dofs,
-                                          top.dirichlet_values))
+        system = assemble_stokes(problem, inner.levels[0].mesh)
         return system, build_fbf(system, inner)
     raise ValueError(f"unknown solver {solver!r}; pick from {SOLVER_NAMES}")
 

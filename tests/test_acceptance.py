@@ -126,7 +126,8 @@ def test_criterion_2_dense_oracle_equivalence():
     assert system.n <= 300
     inner = build_hierarchy(prob, 1, "hmg", monolithic=False)
     pc = build_fbf(system, inner)
-    A_inv = dense_cycle_matrix(inner)
+    # the scalar cycle acts on both interleaved velocity components
+    A_inv = np.kron(dense_cycle_matrix(inner), np.eye(2))
     M_p = assemble_pressure_mass(system.pressure_space).toarray()
     formula = dense_fbf(A_inv, np.linalg.inv(M_p),
                         system.K[pc.n_u:, :pc.n_u].toarray())

@@ -18,7 +18,8 @@ from stokesmg.assembly import (
     eliminate_dirichlet,
 )
 from stokesmg.mesh import Mesh, generate_structured_grid, refine_barycentric, refine_uniform
-from stokesmg.problems import backward_facing_step, manufactured
+from stokesmg.problems import (backward_facing_step, lid_driven_cavity,
+                               manufactured)
 from stokesmg.quadrature import quadrature_rule
 from stokesmg.spaces import build_space
 
@@ -51,6 +52,28 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="k >= 2"):
             ProblemInstance("p", mesh, "th", 1,
                             dirichlet={m: g for m in (1, 2, 3, 4)})
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", 3.0), ("k", True), ("k", "3"),
+        ("refinements", -1), ("refinements", 1.5), ("refinements", None),
+    ])
+    def test_rejects_bad_degree_or_refinements(self, field, value):
+        mesh = generate_structured_grid(1)
+        g = lambda x, y: (0.0, 0.0)
+        fields = {"k": 2, "refinements": 0, field: value}
+        with pytest.raises(ValueError, match=field):
+            ProblemInstance("p", mesh, "th", dirichlet={m: g for m in
+                                                        (1, 2, 3, 4)},
+                            **fields)
+
+    def test_factories_validate_up_front(self):
+        # a fractional degree used to fail deep inside quadrature, and a
+        # negative refinement count was accepted
+        with pytest.raises(ValueError, match="k must be an integer"):
+            lid_driven_cavity(1, 2.5)
+        with pytest.raises(ValueError, match="refinements must be >= 0"):
+            lid_driven_cavity(-1, 2)
+        assert lid_driven_cavity(np.int64(1), np.int64(2)).k == 2
 
     def test_nullspace_flag(self):
         assert cavity_problem().has_pressure_nullspace

@@ -10,6 +10,7 @@ import pytest
 from stokesmg import bench
 from stokesmg.bench import (COLUMNS, ComparisonTable, RunReport,
                             read_sweep_config, relative_metrics, run, sweep)
+from stokesmg.timing import Timings
 
 
 def synthetic_report(solver="hmg", t_setup=2.0, t_solve=1.0, iterations=10,
@@ -23,6 +24,20 @@ def synthetic_report(solver="hmg", t_setup=2.0, t_solve=1.0, iterations=10,
                                       "krylov": 0.05, "other": 0.05})
     fields.update(overrides)
     return RunReport(**fields)
+
+
+class TestTimings:
+    def test_scopes_count_calls_and_add_seconds(self):
+        timer = Timings()
+        for _ in range(3):
+            with timer.scope("coarse"):
+                pass
+        with timer.scope("schur"):
+            pass
+        assert timer.calls == {"coarse": 3, "schur": 1}
+        assert timer.seconds.keys() == timer.calls.keys()
+        assert timer.get("coarse") >= 0.0 and timer.get("missing") == 0.0
+        assert timer.total() == sum(timer.seconds.values())
 
 
 class TestRunReport:
@@ -284,6 +299,14 @@ class TestCLI:
                            "ilu"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_restart_exits_one(self, capsys):
+        # FGMRES with no direction per restart cycle used to spin for ever
+        code = bench.main(["run", "--problem", "manufactured", "--family",
+                           "th", "--k", "2", "--refinements", "1",
+                           "--solver", "hmg", "--restart", "0"])
+        assert code == 1
+        assert "restart must be >= 1" in capsys.readouterr().err
 
     def test_nonconverged_exits_two(self, monkeypatch, tmp_path):
         stalled = synthetic_report(converged=False)

@@ -161,6 +161,31 @@ class TestFGMRES:
         assert len(report.precond_times) == report.iterations
         assert all(t >= 0 for t in report.precond_times)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"restart": 0}, "restart"), ({"restart": -3}, "restart"),
+        ({"maxiter": -1}, "maxiter"), ({"rtol": -1e-10}, "rtol"),
+        ({"rtol": float("nan")}, "rtol"),
+    ])
+    def test_rejects_invalid_arguments(self, kwargs, name):
+        # restart = 0 used to spin for ever: no direction per cycle meant
+        # no iteration, so the outer loop never reached maxiter.
+        calls = []
+
+        def apply_K(v):
+            calls.append(1)
+            return 2.0 * v
+
+        with pytest.raises(ValueError, match=name):
+            fgmres(apply_K, lambda v: v, np.ones(4), **kwargs)
+        assert not calls
+
+    def test_zero_maxiter_returns_the_initial_guess(self):
+        b = np.arange(1.0, 5.0)
+        x, report = fgmres(lambda v: 2.0 * v, lambda v: v, b, maxiter=0)
+        assert report.iterations == 0 and not report.converged
+        assert report.reason == "maxiter"
+        assert np.array_equal(x, np.zeros(4))
+
 
 class TestLambdaMax:
     def test_diagonal_within_5_percent(self):

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from conftest import cavity_problem
 from dense_oracles import dense_asm, loop_star_patches, loop_vanka_patches
 from stokesmg import relaxation
-from stokesmg.assembly import assemble_stokes, assemble_vector_laplacian
+from stokesmg.assembly import (assemble_stokes, assemble_vector_laplacian,
+                               eliminate_dirichlet)
 from stokesmg.linalg import SingularMatrixError, estimate_lambda_max
 from stokesmg.mesh import (
     generate_structured_grid,
@@ -325,6 +326,31 @@ class TestAsmApply:
         assert np.allclose(asm_apply(factored, r), asm_apply(shuffled, r),
                            atol=1e-12)
 
+    def test_scatter_index_is_built_once_in_chunk_order(self):
+        system, factored = self._factored_cavity()
+        assert np.array_equal(
+            factored.scatter,
+            np.concatenate([I.ravel() for I, _ in factored.blocks]))
+        assert PatchSet(3, [0], [np.arange(3)]).scatter is None
+
+    def test_scalar_columns_match_two_component_sweep(self):
+        # the vector Laplacian's star smoother on interleaved DoFs 2g + c is
+        # the scalar star smoother applied to each component's column
+        mesh = refine_uniform(generate_structured_grid(2))
+        sweeps = {}
+        for components in (1, 2):
+            space = build_space(mesh, 3, "continuous", components=components)
+            bdofs = space.expand_components(space.boundary_scalar_dofs())
+            K, _ = eliminate_dirichlet(assemble_vector_laplacian(space),
+                                       bdofs, 0.0)
+            sweeps[components] = factor_patches(
+                K, build_star_patches(mesh, space, bdofs))
+        r = np.random.default_rng(59).standard_normal(sweeps[2].n)
+        z = asm_apply(sweeps[2], r)
+        Z = asm_apply(sweeps[1], r.reshape(-1, 2))
+        assert Z.shape == (sweeps[1].n, 2)
+        assert np.abs(Z.ravel() - z).max() <= 1e-14 * np.abs(z).max()
+
     def test_unfactored_raises(self):
         mesh = generate_structured_grid(1)
         vel = build_space(mesh, 1, "continuous", components=2)
@@ -400,6 +426,22 @@ class TestParallelPath:
                 assert np.array_equal(I, J) and np.array_equal(X, Y)
             assert np.array_equal(other_z, z)
 
+    @pytest.mark.parametrize("family", ["th", "sv"])
+    def test_column_block_bitwise_equal_for_any_worker_count(self, family,
+                                                             workers):
+        K, patches = vanka_level(family)
+        R = np.random.default_rng(73).standard_normal((K.shape[0], 2))
+        sweeps = []
+        for count in (None, 1, 2):
+            workers(count)
+            factored = factor_patches(K, patches)
+            sweeps.append(asm_apply(factored, R))
+        assert all(np.array_equal(Z, sweeps[0]) for Z in sweeps[1:])
+        for c in range(2):
+            z = asm_apply(factored, R[:, c])
+            assert (np.abs(sweeps[0][:, c] - z).max()
+                    <= 1e-14 * np.abs(z).max())
+
     def test_singular_patch_in_later_chunk_names_its_vertex(self, workers):
         K, patches = vanka_level("th")
         workers(2)
@@ -470,8 +512,6 @@ class TestSmoothingProperty:
         assert vel.num_dofs <= 500
         A = assemble_vector_laplacian(vel)
         bdofs = vel.expand_components(vel.boundary_scalar_dofs())
-        from stokesmg.assembly import eliminate_dirichlet
-
         A_el, _ = eliminate_dirichlet(A, bdofs, np.zeros(len(bdofs)))
         patches = build_star_patches(mesh, vel, bdofs)
         factored = factor_patches(A_el, patches)

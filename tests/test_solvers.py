@@ -14,6 +14,7 @@ from stokesmg import solvers
 from stokesmg.assembly import assemble_pressure_mass, assemble_stokes
 from stokesmg.problems import lid_driven_cavity, manufactured
 from stokesmg.relaxation import PatchSet
+from stokesmg.timing import Timings
 from stokesmg.solvers import (FBFPreconditioner, MGHierarchy, build_fbf,
                               build_hierarchy, build_solver, fbf_apply,
                               make_apply, mesh_hierarchy,
@@ -177,10 +178,73 @@ class TestVelocityHierarchy:
         assert cells[0] == 3 * cells[1]  # barycentric finest, then the chain
         assert len(cells) == 3
 
+    @pytest.mark.parametrize("solver", ["fbf-hmg", "fbf-phmg"])
+    def test_levels_are_scalar_laplacians(self, solver):
+        # grad:grad on interleaved components is two copies of the scalar
+        # operator with the same Dirichlet rows, so the outer velocity block
+        # restricted to either component is the inner finest operator
+        system, pc = build_solver(lid_driven_cavity(1, 3), 1, solver)
+        inner = pc.inner
+        for level in inner.levels:
+            assert level.space.components == 1
+            assert level.n == level.space.num_scalar_dofs
+            assert level.family is None and level.system is None
+        top = inner.levels[0]
+        assert 2 * top.n == system.n_u
+        assert np.array_equal(
+            top.dirichlet_dofs, top.space.boundary_scalar_dofs(
+                markers={1, 2, 3, 4}))
+        assert np.array_equal(
+            system.dirichlet_dofs,
+            system.velocity_space.expand_components(top.dirichlet_dofs))
+        K_u = system.K[:system.n_u, :system.n_u]
+        assert abs(K_u[0::2, 1::2]).max() == 0.0
+        for c in (0, 1):
+            diff = K_u[c::2, c::2] - top.K
+            assert abs(diff).max() <= 1e-14 * abs(top.K).max()
+
     def test_unknown_cycle(self):
         prob = lid_driven_cavity(1, 2)
         with pytest.raises(ValueError, match="cycle"):
             build_hierarchy(prob, 1, "wmg", monolithic=False)
+
+
+class TestColumnBlocks:
+    """`vcycle` on an (n, c) block runs one cycle for all columns."""
+
+    @pytest.fixture(scope="class", params=["hmg", "phmg-direct"])
+    def velocity_hierarchy(self, request):
+        return build_hierarchy(lid_driven_cavity(2, 3), 2, request.param,
+                               monolithic=False, n_V=2)
+
+    def test_block_equals_columnwise_cycles(self, velocity_hierarchy):
+        h = velocity_hierarchy
+        B = np.random.default_rng(43).standard_normal((h.n, 2))
+        X = vcycle(h, B)
+        assert X.shape == (h.n, 2)
+        for c in range(2):
+            x = vcycle(h, B[:, c])
+            assert np.abs(X[:, c] - x).max() <= 1e-13 * np.abs(x).max()
+
+    def test_one_visit_per_level_for_the_whole_block(self,
+                                                     velocity_hierarchy):
+        h = velocity_hierarchy
+        visits, expected = 1, {}
+        for i, (upper, level) in enumerate(zip(h.levels, h.levels[1:])):
+            expected[f"rlx(l={i})"] = 2 * visits
+            if upper.kind == "p" and level.kind == "h":
+                visits *= h.n_V
+        expected["coarse"] = visits
+        for b in (np.ones(h.n), np.ones((h.n, 2))):
+            timer = Timings()
+            vcycle(h, b, timer=timer)
+            assert {k: timer.calls[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (None, 2, 1)])
+    def test_rejects_other_shapes(self, velocity_hierarchy, shape):
+        h = velocity_hierarchy
+        with pytest.raises(ValueError, match="expected"):
+            vcycle(h, np.zeros([h.n if d is None else d for d in shape]))
 
 
 class TestVcycleBasics:
@@ -362,7 +426,8 @@ class TestFBF:
     def test_apply_matches_block_formula(self):
         system, pc, inner = self._poiseuille_fbf()
         assert system.n <= 300
-        A_inv = dense_cycle_matrix(inner)  # frozen inner cycle, dense
+        # frozen scalar inner cycle, dense, on both interleaved components
+        A_inv = np.kron(dense_cycle_matrix(inner), np.eye(2))
         M_p = assemble_pressure_mass(system.pressure_space).toarray()
         P_formula = dense_fbf(A_inv, np.linalg.inv(M_p),
                               system.K[pc.n_u:, :pc.n_u].toarray())
