@@ -99,17 +99,16 @@ class ProblemInstance:
 class SaddleSystem:
     """Assembled Stokes system on one mesh/degree pair.
 
-    `A` and `B` are the raw (pre-elimination) blocks; `K` and `b` have the
-    Dirichlet elimination applied. `dirichlet_dofs` are monolithic indices
-    (velocity block) with `dirichlet_values` aligned.
+    `K` and `b` have the Dirichlet elimination applied; the blocks before
+    elimination are `assemble_vector_laplacian` and `assemble_divergence`
+    of the two spaces. `dirichlet_dofs` are monolithic indices (velocity
+    block) with `dirichlet_values` aligned.
     """
 
-    def __init__(self, velocity_space, pressure_space, A, B, K, b,
+    def __init__(self, velocity_space, pressure_space, K, b,
                  dirichlet_dofs, dirichlet_values, has_pressure_nullspace):
         self.velocity_space = velocity_space
         self.pressure_space = pressure_space
-        self.A = A
-        self.B = B
         self.K = K
         self.b = b
         self.dirichlet_dofs = dirichlet_dofs
@@ -164,16 +163,30 @@ def _physical_grads(space, rule):
     return values, grads, detJ
 
 
-def assemble_vector_laplacian(space, rule=None):
+def _assemble(local, rows, cols, shape):
+    """CSR sum of the cell matrices local[t] placed at rows[t] x cols[t].
+
+    `local` is (T, m, n), `rows` (T, m) and `cols` (T, n); entries that
+    cells share are summed.
+    """
+    rows = np.broadcast_to(rows[:, :, None], local.shape)
+    cols = np.broadcast_to(cols[:, None, :], local.shape)
+    M = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=shape).tocsr()
+    M.sum_duplicates()
+    return M
+
+
+def assemble_vector_laplacian(space):
     """A = integral grad(u):grad(v) on a space of any component count, CSR.
 
     On one component this is the scalar Laplacian. The operator does not
     couple components, but the cross-component zeros are stored anyway:
-    per node pair the matrix holds a dense blocks x blocks entry set,
-    matching how block-structured solver backends preallocate, so
+    per node pair the matrix holds a dense components x components entry
+    set, matching how block-structured solver backends preallocate, so
     stored-entry counts are comparable.
     """
-    rule = rule or quadrature_rule(max(2 * space.k, 1))
+    rule = quadrature_rule(max(2 * space.k, 1))
     _, grads, detJ = _physical_grads(space, rule)
     # local[t] = G_t G_t^T, G_t[n] = grads[t, :, n, :] * sqrt(w) (w > 0)
     T, _, n, _ = grads.shape
@@ -181,67 +194,35 @@ def assemble_vector_laplacian(space, rule=None):
     G = G.reshape(T, n, -1)
     local = G @ np.swapaxes(G, 1, 2)
     local *= detJ[:, None, None]
-
-    scal = space.cell_scalar_dofs
-    n = space.num_dofs
-    nc = space.components
-    blocks_i, blocks_j, blocks_v = [], [], []
-    zeros = np.zeros_like(local)
-    for ci in range(nc):
-        for cj in range(nc):
-            rows = nc * scal + ci
-            cols = nc * scal + cj
-            blocks_i.append(np.repeat(rows, scal.shape[1], axis=1).ravel())
-            blocks_j.append(np.tile(cols, (1, scal.shape[1])).ravel())
-            blocks_v.append((local if ci == cj else zeros).ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(blocks_v),
-         (np.concatenate(blocks_i), np.concatenate(blocks_j))),
-        shape=(n, n),
-    ).tocsr()
-    A.sum_duplicates()
-    return A
+    local = np.kron(local, np.eye(space.components))
+    return _assemble(local, space.cell_dofs, space.cell_dofs,
+                     (space.num_dofs, space.num_dofs))
 
 
-def assemble_divergence(velocity_space, pressure_space, rule=None):
+def assemble_divergence(velocity_space, pressure_space):
     """B = -integral p div(v); shape n_p x n_u, CSR."""
-    k = velocity_space.k
-    rule = rule or quadrature_rule(max(2 * k, 1))
+    rule = quadrature_rule(max(2 * velocity_space.k, 1))
     _, grads, detJ = _physical_grads(velocity_space, rule)
     p_values, _ = pressure_space.element.tabulate(rule.xy)
-    # local[t, i, j, c] = -sum_q w_q psi_i dphi_j/dx_c, scaled by detJ
+    # local[t, i, 2 j + c] = -sum_q w_q psi_i dphi_j/dx_c, scaled by detJ
     T, q, n, _ = grads.shape
     local = -(p_values * rule.weights[:, None]).T @ grads.reshape(T, q, 2 * n)
-    local = local.reshape(T, -1, n, 2) * detJ[:, None, None, None]
-
-    rows = np.repeat(
-        pressure_space.cell_scalar_dofs[:, :, None, None], n, axis=2)
-    rows = np.repeat(rows, 2, axis=3)
-    cols = 2 * velocity_space.cell_scalar_dofs[:, None, :, None] \
-        + np.arange(2)[None, None, None, :]
-    cols = np.broadcast_to(cols, local.shape)
-    B = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(pressure_space.num_dofs, velocity_space.num_dofs),
-    ).tocsr()
-    B.sum_duplicates()
-    return B
+    local *= detJ[:, None, None]
+    return _assemble(local, pressure_space.cell_scalar_dofs,
+                     velocity_space.cell_dofs,
+                     (pressure_space.num_dofs, velocity_space.num_dofs))
 
 
-def assemble_pressure_mass(pressure_space, rule=None):
+def assemble_pressure_mass(pressure_space):
     """Pressure mass matrix, CSR. Block-diagonal for discontinuous spaces."""
-    rule = rule or quadrature_rule(max(2 * pressure_space.k, 1))
+    rule = quadrature_rule(max(2 * pressure_space.k, 1))
     detJ, _ = _geometry(pressure_space.mesh)
     values, _ = pressure_space.element.tabulate(rule.xy)
     local = np.einsum("qi,qj,q->ij", values, values, rule.weights)
-    locals_all = local[None, :, :] * detJ[:, None, None]
     scal = pressure_space.cell_scalar_dofs
-    rows = np.repeat(scal, scal.shape[1], axis=1).ravel()
-    cols = np.tile(scal, (1, scal.shape[1])).ravel()
     n = pressure_space.num_dofs
-    M = sp.coo_matrix((locals_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    return M
+    return _assemble(local[None, :, :] * detJ[:, None, None], scal, scal,
+                     (n, n))
 
 
 def _quadrature_points(mesh, rule):
@@ -366,20 +347,17 @@ def assemble_stokes(problem, mesh, k=None, family=None):
             )
     rule = quadrature_rule(2 * k)
     velocity, pressure = stokes_spaces(mesh, family, k)
-    A = assemble_vector_laplacian(velocity, rule)
+    A = assemble_vector_laplacian(velocity)
+    B = assemble_divergence(velocity, pressure)
     dofs, values = collect_dirichlet(velocity, problem.dirichlet)
-
-    B = assemble_divergence(velocity, pressure, rule)
     b_u = _assemble_forcing(velocity, problem.forcing, rule)
     _assemble_neumann(velocity, problem.neumann, b_u)
     b = np.concatenate([b_u, np.zeros(pressure.num_dofs)])
 
-    K_raw = sp.bmat([[A, B.T], [B, None]], format="csr")
-    K, b = eliminate_dirichlet(K_raw, dofs, values, b)
-    return SaddleSystem(
-        velocity, pressure, A, B, K, b, dofs, values,
-        problem.has_pressure_nullspace,
-    )
+    K, b = eliminate_dirichlet(sp.bmat([[A, B.T], [B, None]], format="csr"),
+                               dofs, values, b)
+    return SaddleSystem(velocity, pressure, K, b, dofs, values,
+                        problem.has_pressure_nullspace)
 
 
 # -- solution quality ------------------------------------------------------

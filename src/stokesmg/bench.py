@@ -41,6 +41,8 @@ PROBLEMS = {
     "bfs2d": backward_facing_step,
     "manufactured": manufactured,
 }
+FAMILIES = ("th", "sv")
+FORMATS = ("csv", "markdown")
 
 #: Fixed leading column order of emitted tables.
 COLUMNS = ["problem", "family", "k", "refinements", "solver", "dofs",
@@ -65,7 +67,6 @@ class RunReport:
     t_setup: float
     t_solve: float
     kernels: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
 
     @property
     def t_total(self):
@@ -146,8 +147,6 @@ def run(problem, family, k, refinements, solver, n_V=None, nu_p=None,
         t_setup=t_setup,
         t_solve=t_solve,
         kernels=kernels,
-        params={"n_V": n_V, "nu_p": nu_p, "nu_h": nu_h, "rtol": rtol,
-                "restart": restart},
     )
 
 
@@ -238,13 +237,21 @@ def _fmt_ratio(v):
     return f"{v:.3f}" if v != "" else ""
 
 
+_REQUIRED_KEYS = {"problem", "family", "k", "refinements", "solvers",
+                  "reference"}
+_OPTIONAL_KEYS = {"rtol", "restart", "nv", "nup", "nuh", "out", "format",
+                  "mesh_dir"}
+
+
 def read_sweep_config(path):
     """Parse a key = value sweep description.
 
     Keys: problem, family (single values); k, refinements, solvers
     (whitespace-separated lists); reference (solver name); optional rtol,
-    restart, nv, nup, nuh, out, format, mesh_dir. Lines starting with '#'
-    are comments.
+    restart, nv, nup, nuh, out, format (csv or markdown), mesh_dir. Lines
+    starting with '#' are comments. Unknown and repeated keys, and names of
+    problems, families, solvers or formats that do not exist, raise a
+    ValueError here, before any grid point runs.
     """
     raw = {}
     with open(path) as fh:
@@ -255,10 +262,13 @@ def read_sweep_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-    required = {"problem", "family", "k", "refinements", "solvers",
-                "reference"}
-    missing = required - set(raw)
+            key = key.strip()
+            if key not in _REQUIRED_KEYS | _OPTIONAL_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            raw[key] = value.strip()
+    missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
     config = {
@@ -279,6 +289,14 @@ def read_sweep_config(path):
     }
     if not config["k"] or not config["solvers"] or not config["refinements"]:
         raise ValueError(f"{path}: empty sweep grid")
+    names = [("problem", config["problem"], PROBLEMS),
+             ("family", config["family"], FAMILIES),
+             ("format", config["format"], FORMATS)]
+    names += [("solver", v, SOLVER_NAMES) for v in config["solvers"]]
+    for what, value, known in names:
+        if value not in known:
+            raise ValueError(f"{path}: unknown {what} {value!r}; pick from "
+                             f"{sorted(known)}")
     if config["reference"] not in config["solvers"]:
         raise ValueError(f"{path}: reference solver {config['reference']!r} "
                          "is not in the solvers list")
@@ -322,7 +340,7 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="execute one configuration")
     run_p.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
-    run_p.add_argument("--family", required=True, choices=["th", "sv"])
+    run_p.add_argument("--family", required=True, choices=FAMILIES)
     run_p.add_argument("--k", required=True, type=int)
     run_p.add_argument("--refinements", required=True, type=int)
     run_p.add_argument("--solver", required=True, choices=list(SOLVER_NAMES))
@@ -332,8 +350,7 @@ def _build_parser():
     run_p.add_argument("--rtol", type=float, default=1e-10)
     run_p.add_argument("--restart", type=int, default=30)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--format", choices=["csv", "markdown"],
-                       default="markdown")
+    run_p.add_argument("--format", choices=FORMATS, default="markdown")
     run_p.add_argument("--mesh-dir", default=None)
 
     sweep_p = sub.add_parser("sweep", help="execute a config-file grid")

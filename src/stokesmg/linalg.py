@@ -1,10 +1,12 @@
 """Krylov, Chebyshev, and dense-factorization kernels.
 
 The sparse matrix type is CSR (scipy). FGMRES is flexible and
-right-preconditioned: the preconditioner may change between iterations
-(multigrid cycles with Chebyshev-damped relaxation are nonstationary), and
-the true residual is recomputed at every restart boundary before a new cycle
-starts.
+right-preconditioned, and the true residual is recomputed at every restart
+boundary before a new cycle starts. The multigrid cycles built here are
+fixed linear operators (the Chebyshev interval, the sweep counts and the
+chunk order are set at build), so plain GMRES would do for them; the
+flexible variant stays because `solve_stokes` accepts any preconditioner
+callable, which may change between iterations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 POWER_ITERATION_SEED = 0x5EED
+POWER_ITERATIONS = 10
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -89,6 +92,10 @@ class KrylovReport:
 def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
            x0=None, project=None):
     """Flexible right-preconditioned GMRES with restarts.
+
+    Each iteration keeps its preconditioned direction, so `apply_P` may be
+    any callable, also one that changes between iterations. The V-cycles
+    and the FBF preconditioner of `solvers` are fixed linear operators.
 
     `project`, when given, removes a known operator nullspace component from
     the initial residual and every preconditioned direction (used for the
@@ -201,10 +208,12 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
     return x, report
 
 
-def estimate_lambda_max(apply_MK, n, iters=10):
-    """Power iteration estimate of the dominant eigenvalue magnitude.
+def estimate_lambda_max(apply_MK, n):
+    """Power iteration estimate of the dominant eigenvalue magnitude of the
+    n x n operator `apply_MK`.
 
-    Fixed seed, so benchmark runs are reproducible.
+    POWER_ITERATIONS steps from a fixed seed, so benchmark runs are
+    reproducible.
     """
     if n < 1:
         raise ValueError("operator dimension must be >= 1")
@@ -212,7 +221,7 @@ def estimate_lambda_max(apply_MK, n, iters=10):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         w = apply_MK(v)
         lam = float(v @ w)
         norm = np.linalg.norm(w)

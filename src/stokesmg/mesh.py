@@ -56,6 +56,7 @@ class Mesh:
             raise MeshError("vertices must be a (V, 2) array")
         if cells.ndim != 2 or cells.shape[1] != 3:
             raise MeshError("cells must be a (T, 3) array")
+        _check_finite(vertices)
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell references an unknown vertex id")
         repeated = ((cells[:, 0] == cells[:, 1]) | (cells[:, 0] == cells[:, 2])
@@ -127,6 +128,16 @@ class Mesh:
 
     def total_area(self):
         return float(self.signed_areas().sum())
+
+
+def _check_finite(vertices, where=""):
+    """Reject NaN and infinite coordinates, on which every signed-area test
+    of the orientation checks is false."""
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise MeshError(f"{where}vertex {bad} has non-finite coordinates "
+                        f"{vertices[bad].tolist()}")
 
 
 def _signed_areas(vertices, cells):
@@ -303,7 +314,8 @@ def load_mesh(path):
     Line 1 holds ``V E_b T``; then V vertex lines ``x y``; then T cell lines
     ``v0 v1 v2``; then E_b lines ``v_a v_b marker``, one per boundary edge
     (E_b = 0: an unmarked mesh). Negatively oriented cells are repaired by
-    swapping two vertices, with a warning; dangling vertices are rejected.
+    swapping two vertices, with a warning; non-finite coordinates, dangling
+    vertices and tokens after the boundary lines are rejected.
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -325,6 +337,11 @@ def load_mesh(path):
         ).reshape(-1, 3)
     except (StopIteration, ValueError) as exc:
         raise MeshError(f"{path}: malformed mesh file") from exc
+    trailing = sum(1 for _ in it)
+    if trailing:
+        raise MeshError(f"{path}: {trailing} trailing token(s) after the "
+                        f"boundary lines")
+    _check_finite(vertices, where=f"{path}: ")
 
     flipped = np.flatnonzero(_signed_areas(vertices, cells) < 0)
     if flipped.size:

@@ -25,10 +25,10 @@ equal-size patches, in order of patch size: `I` (p, m) stacks the index
 lists of the chunk's p patches of size m and `X` (p, m, m) their weighted
 inverses W_i inv(K(i)). Each size group is split evenly into chunks of at
 most about CHUNK_BYTES of `X`; the cut depends on the patch sizes alone. A
-sweep is one stacked product per chunk and one scatter-add that sums the
-chunk contributions in chunk order, through an index built once at
-factoring, with no per-patch Python work. A sweep of an (n, c) block of
-columns does the same, with c columns per product.
+sweep acts on an (n, c) block of c columns (c = 1 for a vector): one
+stacked product per chunk serves all columns, and one scatter-add per
+column sums the chunk contributions in chunk order, through an index built
+once at factoring, with no per-patch Python work.
 
 Chunks are the unit of parallel work. A level whose patch inverses hold at
 least PARALLEL_BYTES inverts its gathered chunks, and forms their products
@@ -348,29 +348,27 @@ def asm_apply(patches, r):
     """One additive Schwarz sweep: z = sum_i I^T W inv(K_i) I r.
 
     `r` is an (n,) vector or an (n, c) block of c columns, each swept alike
-    with the same patch inverses: one stacked product per chunk serves all
-    columns, and the scatter adds entry (g, j) at flat position g c + j.
+    with the same patch inverses. The sweep works on the (n, c) view of
+    `r`, with c = 1 for a vector: one stacked product per chunk serves all
+    columns, and one scatter-add per column sums the chunk contributions
+    in chunk order through `patches.scatter`.
     """
     if patches.blocks is None:
         raise ValueError("patches must be factored first")
     blocks = patches.blocks
     if not blocks:
         return np.zeros_like(r)
-    if r.ndim == 1:
-        def product(block):
-            return block[1] @ r[block[0]][..., None]
-        scatter = patches.scatter
-    else:
-        # take, and the index built one column at a time: on the TH k4
-        # scalar finest level (c = 2), fancy indexing r[I] took about
-        # 200 us against 20 us, and broadcasting over the trailing axis of
-        # length c about 170 us against 40 us
-        def product(block):
-            return block[1] @ r.take(block[0], axis=0)
-        c = r.shape[1]
-        scatter = np.stack([patches.scatter * c + j for j in range(c)],
-                           axis=1).ravel()
+    R = r.reshape(r.shape[0], -1)
+    c = R.shape[1]
+
+    # take: on the TH k4 scalar finest level (c = 2), fancy indexing R[I]
+    # took about 200 us against 20 us
+    def product(block):
+        return block[1] @ R.take(block[0], axis=0)
+
     products = _run(product, blocks, sum(X.nbytes for _, X in blocks))
-    z = np.bincount(scatter, np.concatenate([y.ravel() for y in products]),
-                    minlength=r.size)
+    Y = np.concatenate([y.ravel() for y in products]).reshape(-1, c)
+    z = np.empty(R.shape)
+    for j in range(c):
+        z[:, j] = np.bincount(patches.scatter, Y[:, j], minlength=len(R))
     return z.reshape(r.shape)

@@ -481,27 +481,6 @@ class FBFPreconditioner:
         return self.n_u + self.n_p
 
 
-def _blockwise_mass_solver(pressure_space, M):
-    """Exact solver for a cell-block-diagonal (discontinuous) mass matrix.
-
-    Inverts each cell block independently; with cell-by-cell DoF numbering
-    the blocks are contiguous index ranges, so the row-sorted entries of
-    the assembled M (every block entry stored) are the blocks themselves.
-    """
-    T = pressure_space.mesh.num_cells
-    m = pressure_space.element.num_nodes
-    M = M.tocsr(copy=True)
-    M.sort_indices()
-    if M.nnz != T * m * m:
-        raise ValueError("mass matrix does not store full cell blocks")
-    inverses = np.linalg.inv(M.data.reshape(T, m, m))
-
-    def solve(r):
-        return np.einsum("tij,tj->ti", inverses, r.reshape(T, m)).ravel()
-
-    return solve
-
-
 def build_fbf(system, inner, schur_solve=None):
     """FBF preconditioner for `system` with velocity solver `inner`.
 
@@ -509,9 +488,9 @@ def build_fbf(system, inner, schur_solve=None):
     the velocity block's dimension: one application is one V-cycle on the
     (n_u / 2, 2) block of both interleaved components. It may also be any
     callable r -> z approximating A^{-1} r (used to study the factorization
-    with the velocity solve made exact). `schur_solve` defaults to an exact
-    factorization of the pressure mass matrix: blockwise dense LU for
-    discontinuous pressure, sparse LU for continuous.
+    with the velocity solve made exact). `schur_solve` defaults to the
+    sparse LU (SuperLU) of the pressure mass matrix, for continuous and
+    discontinuous pressure alike.
     """
     n_u, n_p = system.n_u, system.n_p
     if isinstance(inner, MGHierarchy):
@@ -530,12 +509,8 @@ def build_fbf(system, inner, schur_solve=None):
         raise TypeError("inner must be an MGHierarchy or a callable")
 
     if schur_solve is None:
-        M = assemble_pressure_mass(system.pressure_space)
-        if system.pressure_space.continuity == "discontinuous":
-            schur_solve = _blockwise_mass_solver(system.pressure_space, M)
-        else:
-            lu = splu(M.tocsc())
-            schur_solve = lu.solve
+        schur_solve = splu(
+            assemble_pressure_mass(system.pressure_space).tocsc()).solve
 
     K = system.K.tocsr()
     B = K[n_u:, :n_u].tocsr()

@@ -31,6 +31,13 @@ def reference_triangle_mesh():
     )
 
 
+def raw_operator(system):
+    """The saddle operator of `system` before Dirichlet elimination."""
+    A = assemble_vector_laplacian(system.velocity_space)
+    B = assemble_divergence(system.velocity_space, system.pressure_space)
+    return sp.bmat([[A, B.T], [B, None]], format="csr")
+
+
 class TestProblemInstance:
     def test_rejects_uncovered_marker(self):
         mesh = generate_structured_grid(1)
@@ -84,9 +91,10 @@ class TestStokesAssembly:
     def test_A_symmetric(self):
         prob = cavity_problem(k=3)
         system = assemble_stokes(prob, prob.base_mesh)
-        diff = system.A - system.A.T
+        A = assemble_vector_laplacian(system.velocity_space)
+        diff = A - A.T
         max_diff = np.abs(diff.data).max() if diff.nnz else 0.0
-        assert max_diff < 1e-12 * np.abs(system.A.data).max()
+        assert max_diff < 1e-12 * np.abs(A.data).max()
 
     def test_pressure_pressure_block_zero(self):
         prob = cavity_problem()
@@ -97,7 +105,7 @@ class TestStokesAssembly:
     def test_monolithic_matches_blocks(self):
         prob = cavity_problem(k=3)
         system = assemble_stokes(prob, prob.base_mesh)
-        K_raw = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csr")
+        K_raw = raw_operator(system)
         K_ref, _ = eliminate_dirichlet(
             K_raw, system.dirichlet_dofs, system.dirichlet_values,
             np.zeros(system.n),
@@ -120,14 +128,16 @@ class TestStokesAssembly:
     def test_A_rows_annihilate_constants(self):
         prob = cavity_problem(k=3)
         system = assemble_stokes(prob, prob.base_mesh)
-        row_sums = np.asarray(system.A @ np.ones(system.n_u))
-        assert np.abs(row_sums).max() < 1e-12 * np.abs(system.A.data).max()
+        A = assemble_vector_laplacian(system.velocity_space)
+        row_sums = np.asarray(A @ np.ones(system.n_u))
+        assert np.abs(row_sums).max() < 1e-12 * np.abs(A.data).max()
 
     def test_B_annihilates_constant_velocity(self):
         prob = cavity_problem(k=4)
         system = assemble_stokes(prob, prob.base_mesh)
         const = system.velocity_space.interpolate(lambda x, y: (2.0, 3.0))
-        assert np.abs(system.B @ const).max() < 1e-12
+        B = assemble_divergence(system.velocity_space, system.pressure_space)
+        assert np.abs(B @ const).max() < 1e-12
 
     def test_dirichlet_rows_identity(self):
         prob = cavity_problem()
@@ -184,7 +194,7 @@ class TestStokesAssembly:
     def test_elimination_preserves_pattern(self):
         prob = cavity_problem()
         system = assemble_stokes(prob, prob.base_mesh)
-        K_raw = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csr")
+        K_raw = raw_operator(system)
         K_raw.sum_duplicates()
         assert system.K.nnz == K_raw.nnz
         assert np.array_equal(system.K.indices, K_raw.indices)
@@ -328,6 +338,24 @@ class TestElementContractions:
         B = assemble_divergence(vel, pres)
         assert np.abs(A @ u - Au).max() <= 1e-13 * np.abs(Au).max()
         assert np.abs(B @ u - Bu).max() <= 1e-13 * np.abs(Bu).max()
+
+    @pytest.mark.parametrize("barycentric,k", [(False, 3), (True, 4)])
+    def test_two_components_are_two_scalar_laplacians(self, barycentric, k):
+        # the components do not couple, but the cross-component zeros of
+        # every node pair are stored
+        mesh = generate_structured_grid(2, domain=((0.0, 0.0), (2.0, 1.0)))
+        mesh = refine_barycentric(mesh) if barycentric else mesh
+        A = assemble_vector_laplacian(
+            build_space(mesh, k, "continuous", components=2))
+        S = assemble_vector_laplacian(build_space(mesh, k, "continuous"))
+        pattern = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr),
+                                shape=S.shape)
+        stored = sp.kron(pattern, np.ones((2, 2)), format="csr")
+        stored.sort_indices()
+        assert np.array_equal(A.indptr, stored.indptr)
+        assert np.array_equal(A.indices, stored.indices)
+        assert abs(A - sp.kron(S, np.eye(2))).max() <= 1e-15 * abs(S).max()
+
 
 class TestErrors:
     def test_interpolant_against_itself(self):

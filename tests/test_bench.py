@@ -237,6 +237,39 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="reference"):
             read_sweep_config(path)
 
+    def grid(self, **values):
+        keys = dict(problem="ldc2d", family="th", k="3", refinements="1",
+                    solvers="hmg", reference="hmg")
+        keys.update(values)
+        return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+    @pytest.mark.parametrize("extra,message", [
+        ("restrat = 5", "unknown key 'restrat'"),
+        ("format = CSV", "unknown format 'CSV'"),
+        ("rtol = 1e-8\nrtol = 1e-6", "key 'rtol' given twice"),
+    ], ids=["misspelt-key", "upper-case-format", "repeated-key"])
+    def test_rejects_bad_keys_and_values(self, tmp_path, extra, message):
+        # each of these used to parse: the misspelt restart and the first
+        # rtol were dropped, and CSV gave markdown output
+        path = self.write(tmp_path, self.grid() + extra + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_sweep_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("problem", "cavity"), ("family", "rt"), ("solvers", "hmg amg")])
+    def test_rejects_unknown_names_before_any_solve(self, tmp_path,
+                                                    monkeypatch, key, value):
+        runs = []
+
+        def fake_run(*args, **kwargs):
+            runs.append(args)
+            return synthetic_report()
+
+        monkeypatch.setattr(bench, "run", fake_run)
+        path = self.write(tmp_path, self.grid(**{key: value}))
+        assert bench.main(["sweep", "--config", path]) == 1
+        assert runs == []
+
     def test_malformed_line(self, tmp_path):
         path = self.write(tmp_path, "problem ldc2d\n")
         with pytest.raises(ValueError, match="key = value"):

@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from stokesmg.mesh import (
     refine_uniform,
     save_mesh,
 )
+from stokesmg.problems import DATA_DIR
 
 
 def coord_set(mesh):
@@ -80,6 +84,12 @@ class TestMeshValidation:
         interior = [e for e in range(mesh.num_edges) if e not in mesh.boundary_edges]
         with pytest.raises(MeshError, match="non-boundary"):
             Mesh(mesh.vertices, mesh.cells, {interior[0]: 1})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vertex(self, bad):
+        verts = [(0.0, 0.0), (1.0, 0.0), (bad, 1.0)]
+        with pytest.raises(MeshError, match="vertex 2 has non-finite"):
+            Mesh(np.array(verts), np.array([[0, 1, 2]]))
 
     def test_arrays_read_only(self):
         mesh = generate_structured_grid(2)
@@ -242,6 +252,29 @@ class TestMeshIO:
         path.write_text("4 3 2\n" + self.SQUARE + "0 1 1\n1 2 2\n2 3 3\n")
         with pytest.raises(MeshError, match=r"partial\.mesh: boundary edge "
                                             r"\(0, 3\) has no marker line"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite_vertex(self, tmp_path, bad):
+        # a NaN vertex used to load with a NaN area; an infinite one
+        # loaded after "repairing" the orientation of its cells
+        with open(os.path.join(DATA_DIR, "bfs2d_base.mesh")) as fh:
+            lines = fh.read().splitlines()
+        lines[1] = f"{bad} {lines[1].split()[1]}"
+        path = tmp_path / "bad.mesh"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=r"bad\.mesh: vertex 0 has "
+                                                r"non-finite coordinates"):
+                load_mesh(path)
+
+    def test_rejects_trailing_tokens(self, tmp_path):
+        path = tmp_path / "trailing.mesh"
+        path.write_text("4 4 2\n" + self.SQUARE
+                        + "0 1 1\n1 2 2\n2 3 3\n3 0 4\n1 2 3\n")
+        with pytest.raises(MeshError, match=r"trailing\.mesh: 3 trailing "
+                                            r"token"):
             load_mesh(path)
 
     def test_no_boundary_lines_leave_mesh_unmarked(self, tmp_path):

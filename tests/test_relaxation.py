@@ -426,19 +426,29 @@ class TestParallelPath:
                 assert np.array_equal(I, J) and np.array_equal(X, Y)
             assert np.array_equal(other_z, z)
 
-    @pytest.mark.parametrize("family", ["th", "sv"])
+    @pytest.mark.parametrize("family,columns", [
+        pytest.param("th", 2, id="th"), pytest.param("sv", 2, id="sv"),
+        pytest.param("th", 1, id="th-1"), pytest.param("sv", 1, id="sv-1"),
+        pytest.param("th", 3, id="th-3"), pytest.param("sv", 3, id="sv-3")])
     def test_column_block_bitwise_equal_for_any_worker_count(self, family,
+                                                             columns,
                                                              workers):
+        # One column of a block sweep equals the vector sweep bitwise. Wider
+        # blocks agree with it to roundoff only: NumPy's stacked product
+        # rounds an (m, m) times (m, c > 1) product differently from an
+        # (m, m) times (m, 1) one.
         K, patches = vanka_level(family)
-        R = np.random.default_rng(73).standard_normal((K.shape[0], 2))
+        R = np.random.default_rng(73).standard_normal((K.shape[0], columns))
         sweeps = []
         for count in (None, 1, 2):
             workers(count)
             factored = factor_patches(K, patches)
             sweeps.append(asm_apply(factored, R))
         assert all(np.array_equal(Z, sweeps[0]) for Z in sweeps[1:])
-        for c in range(2):
+        for c in range(columns):
             z = asm_apply(factored, R[:, c])
+            if columns == 1:
+                assert np.array_equal(sweeps[0][:, c], z)
             assert (np.abs(sweeps[0][:, c] - z).max()
                     <= 1e-14 * np.abs(z).max())
 

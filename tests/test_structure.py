@@ -1,6 +1,7 @@
-"""Pinned integer structure of three reference hierarchies.
+"""Pinned integer structure of five reference hierarchies.
 
-One SHA-256 digest per configuration covers every level's mesh topology
+Three are monolithic and two are the scalar (velocity-only) hierarchies of
+the block preconditioner. One SHA-256 digest per configuration covers every level's mesh topology
 (edges, cell edges, sorted boundary markers), the DoF maps of its spaces,
 the boundary DoFs per marker, the Dirichlet DoFs, the sparsity of K and
 the patch index lists. Rewrites of the mesh, space and patch layers must
@@ -23,6 +24,14 @@ DIGESTS = {
         "05e19ebba9e56a12ea09fb8682bad2adc4efa007484aabac693c96f0dbd64e78",
     ("bfs2d", "th", "hmg"):
         "19cee32d1034778063907d14f75ded1bac85469a03df529aff8660707d822f18",
+}
+
+#: Velocity-only hierarchies (`monolithic=False`), ldc2d Taylor-Hood k3.
+SCALAR_DIGESTS = {
+    "phmg-direct":
+        "8a31dcf8c2cfc446f7d60147d1c00a4d2f81bbcc2f63728c25eaf11069eaeeaf",
+    "hmg":
+        "af2d34be6820497531dffab5caa804e0d71a62a7c16aad5a0969f3b9168f7dba",
 }
 
 FACTORIES = {"ldc2d": lid_driven_cavity, "bfs2d": backward_facing_step}
@@ -59,3 +68,10 @@ def test_structure_digest(name, family, cycle):
     problem = FACTORIES[name](1, 3, family)
     hierarchy = build_hierarchy(problem, 1, cycle)
     assert structure_digest(hierarchy) == DIGESTS[name, family, cycle]
+
+
+@pytest.mark.parametrize("cycle", list(SCALAR_DIGESTS))
+def test_scalar_structure_digest(cycle):
+    problem = lid_driven_cavity(1, 3, "th")
+    hierarchy = build_hierarchy(problem, 1, cycle, monolithic=False)
+    assert structure_digest(hierarchy) == SCALAR_DIGESTS[cycle]
