@@ -271,18 +271,30 @@ def read_sweep_config(path):
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
+
+    def number(key, convert, default=None, many=False):
+        if key not in raw:
+            return default
+        try:
+            if many:
+                return [convert(v) for v in raw[key].split()]
+            return convert(raw[key])
+        except ValueError:
+            raise ValueError(f"{path}: key {key!r} has a malformed "
+                             f"number: {raw[key]!r}") from None
+
     config = {
         "problem": raw["problem"],
         "family": raw["family"],
-        "k": [int(v) for v in raw["k"].split()],
-        "refinements": [int(v) for v in raw["refinements"].split()],
+        "k": number("k", int, many=True),
+        "refinements": number("refinements", int, many=True),
         "solvers": raw["solvers"].split(),
         "reference": raw["reference"],
-        "rtol": float(raw.get("rtol", 1e-10)),
-        "restart": int(raw.get("restart", 30)),
-        "n_V": int(raw["nv"]) if "nv" in raw else None,
-        "nu_p": int(raw["nup"]) if "nup" in raw else None,
-        "nu_h": int(raw["nuh"]) if "nuh" in raw else None,
+        "rtol": number("rtol", float, 1e-10),
+        "restart": number("restart", int, 30),
+        "n_V": number("nv", int),
+        "nu_p": number("nup", int),
+        "nu_h": number("nuh", int),
         "out": raw.get("out"),
         "format": raw.get("format", "markdown"),
         "mesh_dir": raw.get("mesh_dir"),

@@ -456,22 +456,21 @@ class FBFPreconditioner:
 
     `apply_Ainv(r, timer)` approximates the velocity-block inverse (one
     V-cycle of the inner hierarchy); `schur_solve` inverts the pressure
-    mass matrix exactly. `B`/`BT` are the eliminated off-diagonal blocks of
-    the outer operator. Like `MGHierarchy`, a built preconditioner is only
-    read by `fbf_apply`, so one instance can serve many concurrent solves.
+    mass matrix exactly. `B` is the eliminated lower off-diagonal block of
+    the outer operator, whose upper block is B^T (the elimination is
+    symmetric). Like `MGHierarchy`, a built preconditioner is only read by
+    `fbf_apply`, so one instance can serve many concurrent solves.
     """
 
-    def __init__(self, apply_Ainv, schur_solve, B, BT, n_u, n_p,
-                 inner=None):
-        if B.shape != (n_p, n_u) or BT.shape != (n_u, n_p):
+    def __init__(self, apply_Ainv, schur_solve, B, n_u, n_p, inner=None):
+        if B.shape != (n_p, n_u):
             raise ValueError(
-                f"off-diagonal blocks {B.shape}/{BT.shape} do not match "
+                f"off-diagonal block {B.shape} does not match "
                 f"block sizes n_u={n_u}, n_p={n_p}"
             )
         self.apply_Ainv = apply_Ainv
         self.schur_solve = schur_solve
         self.B = B
-        self.BT = BT
         self.n_u = n_u
         self.n_p = n_p
         self.inner = inner
@@ -512,10 +511,8 @@ def build_fbf(system, inner, schur_solve=None):
         schur_solve = splu(
             assemble_pressure_mass(system.pressure_space).tocsc()).solve
 
-    K = system.K.tocsr()
-    B = K[n_u:, :n_u].tocsr()
-    BT = K[:n_u, n_u:].tocsr()
-    return FBFPreconditioner(apply_Ainv, schur_solve, B, BT, n_u, n_p,
+    B = system.K.tocsr()[n_u:, :n_u].tocsr()
+    return FBFPreconditioner(apply_Ainv, schur_solve, B, n_u, n_p,
                              inner=inner)
 
 
@@ -537,7 +534,7 @@ def fbf_apply(pc, r, timer=None):
     with timer.scope("schur"):
         w = r_p - pc.B @ t
         s = pc.schur_solve(w)
-        g = pc.BT @ s
+        g = pc.B.T @ s
     z_u = t - pc.apply_Ainv(g, timer)
     return np.concatenate([z_u, s])
 

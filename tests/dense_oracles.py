@@ -20,9 +20,9 @@ here, apart from the DoF maps the library builds.
 import numpy as np
 import scipy.sparse as sp
 
+from stokesmg.linalg import CHEBYSHEV_LOWER as CHEB_LOWER
+from stokesmg.linalg import CHEBYSHEV_UPPER as CHEB_UPPER
 from stokesmg.relaxation import asm_apply
-
-CHEB_LOWER, CHEB_UPPER = 0.3, 1.1
 
 
 def dense_asm(K, indices):
@@ -44,7 +44,7 @@ def dense_asm(K, indices):
 
 def dense_cheb_error(T, nu, lam):
     """Error propagator of nu Chebyshev steps on the interval
-    [0.3, 1.1]*lam applied to the preconditioned operator T."""
+    [CHEB_LOWER, CHEB_UPPER]*lam applied to the preconditioned operator T."""
     theta = 0.5 * (CHEB_UPPER + CHEB_LOWER) * lam
     delta = 0.5 * (CHEB_UPPER - CHEB_LOWER) * lam
     n = T.shape[0]

@@ -275,6 +275,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="key = value"):
             read_sweep_config(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("k", "3,4"), ("refinements", "1 two"), ("rtol", "1e-8 1e-6"),
+        ("restart", "30.5"), ("nv", ""), ("nup", "x"), ("nuh", "2x")])
+    def test_malformed_number_names_file_and_key(self, tmp_path, capsys,
+                                                 key, value):
+        # bare int()/float() used to print e.g. "invalid literal for int()
+        # with base 10: '3,4'", with neither the file nor the key
+        path = self.write(tmp_path, self.grid(**{key: value}))
+        assert bench.main(["sweep", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: key {key!r} has a malformed number" in err
+
     def test_sweep_runs_grid(self, tmp_path):
         path = self.write(tmp_path, """
             problem = ldc2d

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from stokesmg.linalg import (
+    CHEBYSHEV_LOWER,
+    CHEBYSHEV_UPPER,
     SingularMatrixError,
     chebyshev,
     dense_lu,
@@ -221,9 +223,11 @@ class TestLambdaMax:
 class TestChebyshev:
     def test_identity_error_follows_polynomial(self):
         # With K = M = I and lambda_max = 1, the error after nu steps is the
-        # degree-nu Chebyshev polynomial for [0.3, 1.1] evaluated at 1.
+        # degree-nu Chebyshev polynomial for [CHEBYSHEV_LOWER,
+        # CHEBYSHEV_UPPER] evaluated at 1.
         b = np.array([2.0, -1.0, 4.0])
-        theta, delta = 0.7, 0.4
+        theta = 0.5 * (CHEBYSHEV_UPPER + CHEBYSHEV_LOWER)
+        delta = 0.5 * (CHEBYSHEV_UPPER - CHEBYSHEV_LOWER)
 
         def cheb_t(n, s):
             t_prev, t = 1.0, s
@@ -245,21 +249,21 @@ class TestChebyshev:
         x0 = rng.standard_normal(6)
         lam = 2.0
         x = x0 + chebyshev(lambda v: K @ v, lambda v: v, b - K @ x0, 1, lam)
-        omega = 2.0 / (1.4 * lam)
+        omega = 2.0 / ((CHEBYSHEV_LOWER + CHEBYSHEV_UPPER) * lam)
         expected = x0 + omega * (b - K @ x0)
         assert np.allclose(x, expected, atol=1e-14)
 
     def test_matches_scalar_recurrence_per_eigenvalue(self):
         # K = diag(0.4, 1), M = I, lambda_max = 1, nu = 3: the error factor in
         # each eigendirection is the shifted Chebyshev polynomial on
-        # [0.3, 1.1] evaluated at that eigenvalue.
+        # [CHEBYSHEV_LOWER, CHEBYSHEV_UPPER] evaluated at that eigenvalue.
         eigs = np.array([0.4, 1.0])
         K = np.diag(eigs)
         nu, lam = 3, 1.0
         e0 = np.array([1.0, 1.0])
         x = e0 + chebyshev(lambda v: K @ v, lambda v: v, -K @ e0, nu, lam)
 
-        low, high = 0.3 * lam, 1.1 * lam
+        low, high = CHEBYSHEV_LOWER * lam, CHEBYSHEV_UPPER * lam
         theta, delta = 0.5 * (high + low), 0.5 * (high - low)
 
         def cheb_t(n, s):

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import cavity_problem, pinned_solve, poiseuille_problem
-from dense_oracles import (dense_cycle_matrix, dense_fbf, eq_defect_correction,
-                           eq_two_level, level_smoother, probe_columns,
-                           reference_vcycle)
+from dense_oracles import (dense_asm, dense_cycle_matrix, dense_fbf,
+                           eq_defect_correction, eq_two_level, level_smoother,
+                           probe_columns, reference_vcycle)
 
 from stokesmg import solvers
 from stokesmg.assembly import assemble_pressure_mass, assemble_stokes
-from stokesmg.problems import lid_driven_cavity, manufactured
+from stokesmg.linalg import CHEBYSHEV_UPPER
+from stokesmg.problems import (backward_facing_step, lid_driven_cavity,
+                               manufactured)
 from stokesmg.relaxation import PatchSet
 from stokesmg.timing import Timings
 from stokesmg.solvers import (FBFPreconditioner, MGHierarchy, build_fbf,
@@ -519,7 +521,48 @@ class TestStationaryContraction:
         assert rho < 0.95
 
 
+class TestChebyshevInterval:
+    # Each hierarchy keeps every smoothed level at or below about 2,000
+    # DoFs, so the dense spectrum of M^-1 K is cheap.
+    @pytest.mark.parametrize("family,k,refinements,base_n,cycle,monolithic", [
+        ("th", 3, 1, 4, "phmg-direct", True),
+        ("th", 2, 2, 2, "hmg", True),
+        ("sv", 3, 1, 2, "phmg-direct", True),
+        ("th", 4, 1, 4, "phmg-direct", False),
+    ], ids=["th-phmg", "th-hmg", "sv-phmg", "fbf-scalar"])
+    def test_estimate_against_dense_spectrum(self, family, k, refinements,
+                                             base_n, cycle, monolithic):
+        # The 10-step estimate lies within [0.9, 1.05] of the spectral
+        # radius, and the interval's upper end covers it. Power iteration
+        # gave 0.81 on the finest level of th-phmg.
+        prob = lid_driven_cavity(refinements, k, family=family,
+                                 base_n=base_n)
+        h = build_hierarchy(prob, refinements, cycle, monolithic=monolithic)
+        for i, level in enumerate(h.levels[:-1]):
+            assert level.n <= 2000
+            K = level.K.toarray()
+            T = dense_asm(K, level.patches.indices) @ K
+            rho = np.abs(np.linalg.eigvals(T)).max()
+            ratio = level.lambda_max / rho
+            assert 0.9 <= ratio <= 1.05, f"level {i}: {ratio:.3f}"
+            assert CHEBYSHEV_UPPER * level.lambda_max >= rho, f"level {i}"
+
+
 class TestSolveStokes:
+    @pytest.mark.parametrize("problem,family,solver,iterations", [
+        (lid_driven_cavity, "th", "phmg-direct", 8),
+        (lid_driven_cavity, "sv", "phmg-direct", 8),
+        (lid_driven_cavity, "th", "fbf-phmg", 42),
+        (backward_facing_step, "th", "hmg", 7),
+    ], ids=["ldc-th-phmg", "ldc-sv-phmg", "ldc-th-fbf", "bfs-th-hmg"])
+    def test_pinned_iteration_counts(self, problem, family, solver,
+                                     iterations):
+        # Iteration counts are deterministic; k = 3 at one refinement.
+        system, pc = build_solver(problem(1, 3, family=family), 1, solver)
+        _, rep = solve_stokes(system, pc)
+        assert rep.converged
+        assert rep.iterations == iterations
+
     def test_hmg_matches_direct_solve(self):
         prob = cavity_problem(n=2)
         system, pc = build_solver(prob, 2, "hmg")
