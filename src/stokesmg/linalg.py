@@ -1,4 +1,4 @@
-"""Krylov, Chebyshev, and dense-factorization kernels.
+"""Krylov, Chebyshev, and sparse direct-factorization kernels.
 
 The sparse matrix type is CSR (scipy). FGMRES is flexible and
 right-preconditioned, and the true residual is recomputed at every restart
@@ -23,19 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 __all__ = [
     "SingularMatrixError",
-    "DenseFactorization",
     "KrylovReport",
-    "dense_lu",
+    "sparse_lu",
     "fgmres",
     "estimate_lambda_max",
     "chebyshev",
 ]
 
-POWER_ITERATION_SEED = 0x5EED
-POWER_ITERATIONS = 10
+ARNOLDI_SEED = 0x5EED
+ARNOLDI_STEPS = 10
 #: Arnoldi stops when orthogonalization leaves this fraction of a step's
 #: image or less: the Krylov space is then invariant.
 INVARIANT_TOL = 1e-12
@@ -45,38 +45,29 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A pivot collapsed during factorization."""
 
 
-class DenseFactorization:
-    """LU with partial pivoting of a small dense matrix."""
+def sparse_lu(A):
+    """SuperLU factorization of the square sparse matrix `A`.
 
-    def __init__(self, M):
-        M = np.asarray(M, dtype=np.float64)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("dense_lu needs a square matrix")
-        row_max = np.abs(M).max(axis=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu, self._piv = scipy.linalg.lu_factor(M, check_finite=False)
-        pivots = np.abs(np.diag(self._lu))
-        # Partial pivoting keeps |L| <= 1, so a pivot this far below the
-        # magnitude of its matrix flags numerical singularity.
-        threshold = 1e-14 * max(row_max.max(), 1e-300)
-        if pivots.min() <= threshold:
-            bad = int(np.argmin(pivots))
-            raise SingularMatrixError(
-                f"singular pivot {pivots.min():.3e} at position {bad}"
-            )
-        self.shape = M.shape
-
-    def solve(self, b):
-        # SciPy's getrs wrapper shifts the pivot array to 1-based indices in
-        # place for the duration of the call, so calls that may run
-        # concurrently on one factorization each pass their own copy.
-        return scipy.linalg.lu_solve((self._lu, self._piv.copy()), b,
-                                     check_finite=False)
-
-
-def dense_lu(M):
-    return DenseFactorization(M)
+    Returns the `scipy.sparse.linalg.SuperLU` object, whose `solve` takes
+    an (n,) vector or an (n, c) block. SuperLU does not reliably report a
+    numerically singular matrix (the unpinned saddle operator of an
+    enclosed flow factors with pivots near 1e-17 of its scale), so a pivot
+    of U at or below 1e-14 max|A| raises, as an exactly zero pivot does.
+    """
+    A = A.tocsc()
+    try:
+        lu = scipy.sparse.linalg.splu(A)
+    except RuntimeError as err:
+        raise SingularMatrixError(str(err)) from None
+    # Partial pivoting (SuperLU's default threshold 1) keeps |L| <= 1, so a
+    # pivot this far below the magnitude of A flags numerical singularity.
+    pivots = np.abs(lu.U.diagonal())
+    bad = int(np.argmin(pivots))
+    if pivots[bad] <= 1e-14 * abs(A).max():
+        raise SingularMatrixError(
+            f"singular pivot {pivots[bad]:.3e} in column {lu.perm_c[bad]}"
+        )
+    return lu
 
 
 @dataclass
@@ -221,7 +212,7 @@ def estimate_lambda_max(apply_MK, n):
     """Arnoldi estimate of the spectral radius of the n x n operator
     `apply_MK`.
 
-    POWER_ITERATIONS Arnoldi steps (one `apply_MK` call each) from a fixed
+    ARNOLDI_STEPS Arnoldi steps (one `apply_MK` call each) from a fixed
     seed, so benchmark runs are reproducible, with two passes of classical
     Gram-Schmidt per step. The estimate is the largest |Ritz value| of the
     Hessenberg matrix; the process stops early on an invariant subspace.
@@ -231,8 +222,8 @@ def estimate_lambda_max(apply_MK, n):
     """
     if n < 1:
         raise ValueError("operator dimension must be >= 1")
-    rng = np.random.default_rng(POWER_ITERATION_SEED)
-    steps = min(POWER_ITERATIONS, n)
+    rng = np.random.default_rng(ARNOLDI_SEED)
+    steps = min(ARNOLDI_STEPS, n)
     V = np.empty((steps + 1, n))
     H = np.zeros((steps + 1, steps))
     V[0] = rng.standard_normal(n)

@@ -1,25 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokesmg.linalg import (
     CHEBYSHEV_LOWER,
     CHEBYSHEV_UPPER,
     SingularMatrixError,
     chebyshev,
-    dense_lu,
     estimate_lambda_max,
     fgmres,
+    sparse_lu,
 )
+from stokesmg.problems import lid_driven_cavity
+from stokesmg.solvers import build_hierarchy
 
 
-class TestDenseLU:
+class TestSparseLU:
     def test_diagonal(self):
-        F = dense_lu(np.diag([2.0, 4.0, 8.0]))
+        F = sparse_lu(sp.diags([2.0, 4.0, 8.0], format="csr"))
         b = np.array([2.0, 4.0, 8.0])
         assert np.allclose(F.solve(b), np.ones(3))
 
     def test_pivoting_required(self):
-        F = dense_lu(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        F = sparse_lu(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert np.allclose(F.solve(np.array([3.0, 7.0])), [7.0, 3.0])
 
     def test_random_spd_against_iterative_oracle(self):
@@ -27,7 +30,7 @@ class TestDenseLU:
         Q = rng.standard_normal((20, 20))
         M = Q @ Q.T + 20 * np.eye(20)
         b = rng.standard_normal(20)
-        x = dense_lu(M).solve(b)
+        x = sparse_lu(sp.csr_matrix(M)).solve(b)
         # conjugate-residual oracle
         y = np.zeros(20)
         r = b.copy()
@@ -48,16 +51,26 @@ class TestDenseLU:
         assert np.allclose(x, y, atol=1e-9)
 
     def test_singular_raises(self):
-        M = np.ones((3, 3))
+        M = sp.csr_matrix(np.ones((3, 3)))
         with pytest.raises(SingularMatrixError):
-            dense_lu(M)
+            sparse_lu(M)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(9)
         M = rng.standard_normal((30, 30)) + 30 * np.eye(30)
         b = rng.standard_normal(30)
-        x = dense_lu(M).solve(b)
+        x = sparse_lu(sp.csr_matrix(M)).solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_enclosed_flow_coarse_operator_needs_its_pin(self):
+        # SuperLU factors the unpinned saddle operator of an enclosed flow
+        # without complaint, with a pivot near 1e-17 of its scale.
+        # The hierarchy's own coarse factor is of the pinned operator.
+        h = build_hierarchy(lid_driven_cavity(1, 2), 1, "hmg")
+        assert h.pinned_dof is not None
+        assert h.coarse.shape == h.levels[-1].K.shape
+        with pytest.raises(SingularMatrixError, match="singular pivot"):
+            sparse_lu(h.levels[-1].K)
 
 
 class TestFGMRES:

@@ -11,7 +11,8 @@ from dense_oracles import dense_asm, loop_star_patches, loop_vanka_patches
 from stokesmg import relaxation
 from stokesmg.assembly import (assemble_stokes, assemble_vector_laplacian,
                                eliminate_dirichlet)
-from stokesmg.linalg import SingularMatrixError, estimate_lambda_max
+from stokesmg.linalg import (CHEBYSHEV_LOWER, CHEBYSHEV_UPPER,
+                             SingularMatrixError, estimate_lambda_max)
 from stokesmg.mesh import (
     generate_structured_grid,
     refine_barycentric,
@@ -528,7 +529,7 @@ class TestSmoothingProperty:
         lam = estimate_lambda_max(
             lambda v: asm_apply(factored, A_el @ v), vel.num_dofs
         )
-        omega = 2.0 / (1.4 * lam)
+        omega = 2.0 / ((CHEBYSHEV_LOWER + CHEBYSHEV_UPPER) * lam)
         rng = np.random.default_rng(59)
         e = rng.standard_normal(vel.num_dofs)
         e[bdofs] = 0.0

@@ -87,10 +87,16 @@ class TestBuildHmg:
         with pytest.raises(ValueError, match="Scott-Vogelius"):
             build_hierarchy(prob, 1, "hmg")
 
-    def test_rejects_oversized_coarse_grid(self):
+    def test_large_single_level_is_a_direct_solve(self):
+        # 21,219 DoFs on one level: the coarse solve alone is the cycle.
         prob = lid_driven_cavity(0, 2, base_n=48)
-        with pytest.raises(ValueError, match="dense-LU cap"):
-            build_hierarchy(prob, 0, "hmg")
+        h = build_hierarchy(prob, 0, "hmg")
+        assert len(h.levels) == 1 and h.n > 20_000
+        system = h.levels[0].system
+        c = system.pressure_nullvector()
+        r = system.b - system.K @ vcycle(h, system.b)
+        r -= c * (c @ r)
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.b)
 
     def test_rejects_bad_cycle_params(self):
         prob = cavity_problem(n=2)
