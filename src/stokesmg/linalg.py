@@ -6,19 +6,20 @@ boundary before a new cycle starts. The multigrid cycles built here are
 fixed linear operators (the Chebyshev interval, the sweep counts and the
 chunk order are set at build), so plain GMRES would do for them; the
 flexible variant stays because `solve_stokes` accepts any preconditioner
-callable, which may change between iterations.
+callable, which may change between iterations. FGMRES and the eigenvalue
+estimate share one Arnoldi step: two passes of classical Gram-Schmidt.
 
 The Chebyshev smoother damps the interval [0.5, 1.15] * lambda_hat of the
 preconditioned operator M^{-1} K, with lambda_hat a 10-step Arnoldi
-estimate of its spectral radius. The lower end leaves the bottom half of
-the spectrum to the coarse grid; the upper factor covers the few percent
-by which the estimate can fall short of the true radius.
+estimate of its spectral radius; lambda_hat <= 0 raises a ValueError. The
+lower end leaves the bottom half of the spectrum to the coarse grid; the
+upper factor covers the few percent by which the estimate can fall short
+of the true radius.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,11 +95,11 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
     """Flexible right-preconditioned GMRES with restarts.
 
     Each iteration keeps its preconditioned direction, so `apply_P` may be
-    any callable, also one that changes between iterations. The V-cycles
-    and the FBF preconditioner of `solvers` are fixed linear operators.
+    any callable, also one that changes between iterations. Each step
+    orthogonalizes with `_orthogonalize`, as `estimate_lambda_max` does.
 
     `project`, when given, removes a known operator nullspace component from
-    the initial residual and every preconditioned direction (used for the
+    every residual and every preconditioned direction (used for the
     constant-pressure mode of enclosed flows). Non-convergence is reported,
     not raised. A non-finite residual estimate (a preconditioner or operator
     that produced NaN or inf) ends the solve at once, unconverged, with the
@@ -113,53 +114,35 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
         raise ValueError(f"maxiter must be >= 0, got {maxiter}")
     if not rtol >= 0:
         raise ValueError(f"rtol must be >= 0, got {rtol}")
+    project = project or (lambda v: v)
     b = np.asarray(b, dtype=np.float64)
     n = len(b)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-
-    r = b - apply_K(x)
-    if project is not None:
-        r = project(r)
-    beta0 = float(np.linalg.norm(r))
     bnorm = float(np.linalg.norm(b))
-    tol = rtol * min(bnorm if bnorm > 0 else beta0, beta0)
+    history, precond_times = [], []
+    iterations, nonfinite = 0, False
 
-    history = [beta0]
-    precond_times = []
-    iterations = 0
-    converged = beta0 <= tol
-    final_residual = beta0
-    nonfinite = False
-
-    while not converged and not nonfinite and iterations < maxiter:
+    while True:
+        # The true residual, up front and at the end of every cycle.
+        r = project(b - apply_K(x))
         beta = float(np.linalg.norm(r))
-        if beta <= tol:
-            converged = True
-            final_residual = beta
+        if not history:
+            history.append(beta)
+            tol = rtol * min(bnorm if bnorm > 0 else beta, beta)
+        if beta <= tol or iterations >= maxiter:
             break
-        V = np.empty((restart + 1, n))
-        Z = np.empty((restart, n))
+        V, Z = np.empty((restart + 1, n)), np.empty((restart, n))
         V[0] = r / beta
         H = np.zeros((restart + 1, restart))
-        cs = np.zeros(restart)
-        sn = np.zeros(restart)
+        cs, sn = np.zeros(restart), np.zeros(restart)
         g = np.zeros(restart + 1)
         g[0] = beta
-
-        j = -1
-        while j + 1 < restart and iterations < maxiter:
-            j += 1
+        for j in range(min(restart, maxiter - iterations)):
             t0 = time.perf_counter()
             z = apply_P(V[j])
             precond_times.append(time.perf_counter() - t0)
-            if project is not None:
-                z = project(z)
-            Z[j] = z
-            w = apply_K(z)
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
+            Z[j] = project(z)
+            w = _orthogonalize(V, H, j, apply_K(Z[j]))
             breakdown = H[j + 1, j] == 0.0
             if not breakdown:
                 V[j + 1] = w / H[j + 1, j]
@@ -178,34 +161,35 @@ def fgmres(apply_K, apply_P, b, rtol=1e-10, restart=30, maxiter=500,
             estimate = abs(g[j + 1])
             history.append(estimate)
             # A non-finite H[j+1, j] reaches the estimate through sn[j].
-            if not np.isfinite(estimate):
-                nonfinite = True
+            nonfinite = not np.isfinite(estimate)
+            if nonfinite or estimate <= tol or breakdown:
                 break
-            if estimate <= tol or breakdown or j + 1 == restart \
-                    or iterations >= maxiter:
-                y = scipy.linalg.solve_triangular(
-                    H[: j + 1, : j + 1], g[: j + 1], check_finite=False
-                )
-                x = x + Z[: j + 1].T @ y
-                r = b - apply_K(x)
-                if project is not None:
-                    r = project(r)
-                final_residual = float(np.linalg.norm(r))
-                if final_residual <= tol:
-                    converged = True
-                break
-        # next restart cycle continues from the recomputed true residual
+        if nonfinite:
+            break
+        y = scipy.linalg.solve_triangular(H[: j + 1, : j + 1], g[: j + 1],
+                                          check_finite=False)
+        x = x + Z[: j + 1].T @ y
 
-    report = KrylovReport(
-        iterations=iterations,
-        history=np.array(history),
-        converged=converged,
-        final_residual=final_residual,
-        reason=("converged" if converged
-                else "nonfinite" if nonfinite else "maxiter"),
-        precond_times=precond_times,
-    )
-    return x, report
+    converged = beta <= tol
+    reason = ("converged" if converged
+              else "nonfinite" if nonfinite else "maxiter")
+    return x, KrylovReport(iterations, np.array(history), converged, beta,
+                           reason, precond_times)
+
+
+def _orthogonalize(V, H, j, w):
+    """Orthogonalize `w` against the rows of V[: j + 1] and return the rest.
+
+    Two passes of classical Gram-Schmidt (as orthogonal as modified
+    Gram-Schmidt, and vectorized) add the coefficients into H[: j + 1, j];
+    H[j + 1, j] gets the norm of the remainder.
+    """
+    for _ in range(2):
+        h = V[: j + 1] @ w
+        w = w - h @ V[: j + 1]
+        H[: j + 1, j] += h
+    H[j + 1, j] = np.linalg.norm(w)
+    return w
 
 
 def estimate_lambda_max(apply_MK, n):
@@ -213,9 +197,10 @@ def estimate_lambda_max(apply_MK, n):
     `apply_MK`.
 
     ARNOLDI_STEPS Arnoldi steps (one `apply_MK` call each) from a fixed
-    seed, so benchmark runs are reproducible, with two passes of classical
-    Gram-Schmidt per step. The estimate is the largest |Ritz value| of the
-    Hessenberg matrix; the process stops early on an invariant subspace.
+    seed, so benchmark runs are reproducible, with the two-pass classical
+    Gram-Schmidt step that `fgmres` uses. The estimate is the largest
+    |Ritz value| of the Hessenberg matrix; the process stops early on an
+    invariant subspace, and the zero operator raises a ValueError.
     The smoothed operator M^{-1} K is not symmetric, and its Ritz values
     can be complex. `chebyshev` nevertheless treats the spectrum as real
     and inside [0, lambda_max], so the modulus is the one figure used.
@@ -232,24 +217,19 @@ def estimate_lambda_max(apply_MK, n):
     for j in range(steps):
         w = apply_MK(V[j])
         scale = np.linalg.norm(w)
-        for _ in range(2):
-            h = V[: j + 1] @ w
-            w = w - h @ V[: j + 1]
-            H[: j + 1, j] += h
-        H[j + 1, j] = np.linalg.norm(w)
+        w = _orthogonalize(V, H, j, w)
         if H[j + 1, j] <= INVARIANT_TOL * scale:
             m = j + 1
             break
         V[j + 1] = w / H[j + 1, j]
     lam = float(np.abs(np.linalg.eigvals(H[:m, :m])).max())
     if lam == 0.0:
-        warnings.warn("Arnoldi hit the zero operator", stacklevel=2)
+        raise ValueError("Arnoldi hit the zero operator")
     return lam
 
 
 CHEBYSHEV_LOWER = 0.5
 CHEBYSHEV_UPPER = 1.15
-FALLBACK_WEIGHT = 2.0 / 3.0
 
 
 def chebyshev(apply_MK, apply_Minv, r, nu, lambda_max):
@@ -260,17 +240,14 @@ def chebyshev(apply_MK, apply_Minv, r, nu, lambda_max):
     further step. The interval is [CHEBYSHEV_LOWER, CHEBYSHEV_UPPER] *
     lambda_max = [0.5, 1.15] * lambda_max, which assumes a real spectrum
     (see `estimate_lambda_max`); nu = 1 is one Richardson step with weight
-    2 / (1.65 lambda_max), and a non-positive lambda_max falls back to
-    fixed-weight (2/3) Richardson.
+    2 / (1.65 lambda_max). nu < 1, and a lambda_max that is not > 0 (NaN
+    included), raise a ValueError.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
+    if not lambda_max > 0.0:
+        raise ValueError(f"lambda_max must be > 0, got {lambda_max}")
     rbar = apply_Minv(r)
-    if lambda_max <= 0.0:
-        e = FALLBACK_WEIGHT * rbar
-        for _ in range(nu - 1):
-            e = e + FALLBACK_WEIGHT * (rbar - apply_MK(e))
-        return e
     low = CHEBYSHEV_LOWER * lambda_max
     high = CHEBYSHEV_UPPER * lambda_max
     theta = 0.5 * (high + low)

@@ -314,33 +314,35 @@ def load_mesh(path):
     Line 1 holds ``V E_b T``; then V vertex lines ``x y``; then T cell lines
     ``v0 v1 v2``; then E_b lines ``v_a v_b marker``, one per boundary edge
     (E_b = 0: an unmarked mesh). Negatively oriented cells are repaired by
-    swapping two vertices, with a warning; non-finite coordinates, dangling
-    vertices and tokens after the boundary lines are rejected.
+    swapping two vertices, with a warning; negative counts, a mesh with no
+    cells, non-finite coordinates, dangling vertices and tokens after the
+    boundary lines are rejected.
     """
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 3:
         raise MeshError(f"{path}: truncated header")
-    it = iter(tokens)
+    malformed = f"{path}: malformed mesh file"
     try:
-        V, Eb, T = int(next(it)), int(next(it)), int(next(it))
-        vertices = np.array(
-            [[float(next(it)), float(next(it))] for _ in range(V)], dtype=np.float64
-        )
-        cells = np.array(
-            [[int(next(it)), int(next(it)), int(next(it))] for _ in range(T)],
-            dtype=np.int64,
-        )
-        bedges = np.array(
-            [[int(next(it)), int(next(it)), int(next(it))] for _ in range(Eb)],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-    except (StopIteration, ValueError) as exc:
-        raise MeshError(f"{path}: malformed mesh file") from exc
-    trailing = sum(1 for _ in it)
-    if trailing:
-        raise MeshError(f"{path}: {trailing} trailing token(s) after the "
-                        f"boundary lines")
+        V, Eb, T = (int(t) for t in tokens[:3])
+    except ValueError as exc:
+        raise MeshError(malformed) from exc
+    if min(V, Eb, T) < 0:
+        raise MeshError(f"{path}: negative count in header '{V} {Eb} {T}'")
+    if T == 0:
+        raise MeshError(f"{path}: mesh has no cells")
+    cells_at = 3 + 2 * V
+    edges_at = cells_at + 3 * T
+    end = edges_at + 3 * Eb
+    try:
+        vertices = np.array(tokens[3:cells_at], np.float64).reshape(V, 2)
+        cells = np.array(tokens[cells_at:edges_at], np.int64).reshape(T, 3)
+        bedges = np.array(tokens[edges_at:end], np.int64).reshape(Eb, 3)
+    except ValueError as exc:
+        raise MeshError(malformed) from exc
+    if len(tokens) > end:
+        raise MeshError(f"{path}: {len(tokens) - end} trailing token(s) "
+                        f"after the boundary lines")
     _check_finite(vertices, where=f"{path}: ")
 
     flipped = np.flatnonzero(_signed_areas(vertices, cells) < 0)

@@ -148,7 +148,7 @@ class MGHierarchy:
     (see `relaxation`), and each gives the same bits as a solve run alone.
     """
 
-    def __init__(self, levels, coarse, pinned_dof, n_V, nu_p, nu_h):
+    def __init__(self, levels, coarse, pinned_dof, n_V):
         if not levels:
             raise ValueError("a hierarchy needs at least one level")
         seen_h = False
@@ -178,8 +178,6 @@ class MGHierarchy:
         self.coarse = coarse
         self.pinned_dof = pinned_dof
         self.n_V = n_V
-        self.nu_p = nu_p
-        self.nu_h = nu_h
 
     @property
     def n(self):
@@ -381,7 +379,7 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
         D = sp.diags(d)
         K = D @ K @ D + sp.diags(1.0 - d)
     coarse = dense_lu(K)
-    return MGHierarchy(levels, coarse, pinned, n_V, nu_p, nu_h)
+    return MGHierarchy(levels, coarse, pinned, n_V)
 
 
 # -- V-cycle ----------------------------------------------------------------

@@ -132,6 +132,29 @@ def probe_columns(apply_fn, n):
     return M
 
 
+def reference_restarted_gmres(K, P, b, restart, cycles):
+    """Restarted right-preconditioned GMRES for K x = b, by dense QR and
+    least squares.
+
+    Each cycle builds an orthonormal basis Q of the Krylov space of K P
+    from the current residual r, one column at a time by QR, and adds the
+    update P Q c that minimises |r - K P Q c|. Returns the iterate and the
+    true residual norm after each of `cycles` full cycles.
+    """
+    x = np.zeros(len(b))
+    iterates, residuals = [], []
+    for _ in range(cycles):
+        r = b - K @ x
+        Q = (r / np.linalg.norm(r))[:, None]
+        for _ in range(restart - 1):
+            Q = np.linalg.qr(np.column_stack([Q, K @ (P @ Q[:, -1])]))[0]
+        D = P @ Q
+        x = x + D @ np.linalg.lstsq(K @ D, r, rcond=None)[0]
+        iterates.append(x)
+        residuals.append(np.linalg.norm(b - K @ x))
+    return iterates, residuals
+
+
 # -- the V-cycle in guess-carrying form ---------------------------------------
 
 def reference_chebyshev(apply_MK, apply_Minv, b, x0, nu, lam):
@@ -139,10 +162,6 @@ def reference_chebyshev(apply_MK, apply_Minv, b, x0, nu, lam):
     afresh on every call and M^{-1} K x0 is swept even when x0 = 0."""
     x = np.array(x0, dtype=np.float64)
     zb = apply_Minv(b)
-    if lam <= 0.0:
-        for _ in range(nu):
-            x = x + (2.0 / 3.0) * (zb - apply_MK(x))
-        return x
     theta = 0.5 * (CHEB_UPPER + CHEB_LOWER) * lam
     delta = 0.5 * (CHEB_UPPER - CHEB_LOWER) * lam
     sigma1 = theta / delta

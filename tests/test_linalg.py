@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dense_oracles import reference_restarted_gmres
 from stokesmg.linalg import (
     CHEBYSHEV_LOWER,
     CHEBYSHEV_UPPER,
@@ -202,6 +203,53 @@ class TestFGMRES:
         assert np.array_equal(x, np.zeros(4))
 
 
+class TestFGMRESRestarts:
+    """Restarted FGMRES against the dense restarted-GMRES oracle."""
+
+    @staticmethod
+    def system():
+        # Eigenvalues of I + 0.9 Q lie on a circle through 0.1 and 1.9, so
+        # even 30-step cycles leave a residual to restart from.
+        rng = np.random.default_rng(41)
+        n = 40
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        K = np.diag(rng.uniform(1.0, 3.0, n)) @ (np.eye(n) + 0.9 * Q)
+        P = np.diag(1.0 / np.diag(K))
+        return K, P, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("restart, cycles", [(1, 8), (4, 6), (30, 3)])
+    def test_cycle_boundaries_match_dense_oracle(self, restart, cycles):
+        K, P, b = self.system()
+        iterates, residuals = reference_restarted_gmres(K, P, b, restart,
+                                                        cycles)
+        for c in range(1, cycles + 1):
+            x, report = fgmres(lambda v: K @ v, lambda v: P @ v, b, rtol=0.0,
+                               restart=restart, maxiter=c * restart)
+            assert report.reason == "maxiter"
+            assert report.iterations == c * restart
+            assert report.final_residual == pytest.approx(residuals[c - 1],
+                                                          rel=1e-10)
+            assert np.linalg.norm(x - iterates[c - 1]) <= \
+                1e-10 * np.linalg.norm(iterates[c - 1])
+
+    def test_nonfinite_in_second_cycle_returns_first_cycle_iterate(self):
+        K, P, b = self.system()
+        restart = 4
+        calls = []
+
+        def apply_P(v):
+            calls.append(1)
+            return np.full_like(v, np.nan) if len(calls) == 6 else P @ v
+
+        x, report = fgmres(lambda v: K @ v, apply_P, b, restart=restart)
+        x1, report1 = fgmres(lambda v: K @ v, lambda v: P @ v, b,
+                             restart=restart, maxiter=restart)
+        assert report.reason == "nonfinite" and not report.converged
+        assert report.iterations == 6
+        assert np.array_equal(x, x1)
+        assert report.final_residual == report1.final_residual
+
+
 class TestLambdaMax:
     def test_diagonal_within_5_percent(self):
         D = np.diag([1.0, 2.0, 3.0])
@@ -228,9 +276,8 @@ class TestLambdaMax:
         assert e1 == e2
 
     def test_zero_operator_flagged(self):
-        with pytest.warns(UserWarning, match="zero operator"):
-            est = estimate_lambda_max(lambda v: 0.0 * v, 5)
-        assert est == 0.0
+        with pytest.raises(ValueError, match="zero operator"):
+            estimate_lambda_max(lambda v: 0.0 * v, 5)
 
 
 class TestChebyshev:
@@ -304,11 +351,17 @@ class TestChebyshev:
                                    -K @ (2.5 * e), 3, lam)
         assert np.allclose(out2, 2.5 * out1, atol=1e-13 * np.abs(out1).max())
 
-    def test_fallback_weight_on_bad_lambda(self):
-        K = np.diag([1.0, 2.0])
-        b = np.array([1.0, 1.0])
-        x = chebyshev(lambda v: K @ v, lambda v: v, b, 1, 0.0)
-        assert np.allclose(x, (2.0 / 3.0) * b, atol=1e-15)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_lambda(self, lam):
+        calls = []
+
+        def apply_Minv(v):
+            calls.append(1)
+            return v
+
+        with pytest.raises(ValueError, match="lambda_max"):
+            chebyshev(lambda v: v, apply_Minv, np.ones(2), 2, lam)
+        assert not calls
 
     def test_reduces_error_on_spd(self):
         rng = np.random.default_rng(31)

@@ -277,6 +277,22 @@ class TestMeshIO:
                                             r"token"):
             load_mesh(path)
 
+    def test_rejects_empty_mesh(self, tmp_path):
+        # "0 0 0" used to end in NumPy's AxisError
+        path = tmp_path / "empty.mesh"
+        path.write_text("0 0 0\n")
+        with pytest.raises(MeshError, match=r"empty\.mesh: mesh has no cells"):
+            load_mesh(path)
+
+    def test_rejects_negative_count(self, tmp_path):
+        # a negative boundary count used to read as an unmarked mesh, and
+        # was reported as a boundary edge without its marker line
+        path = tmp_path / "negative.mesh"
+        path.write_text("3 -2 1\n0 0\n1 0\n0 1\n0 1 2\n")
+        with pytest.raises(MeshError, match=r"negative\.mesh: negative count "
+                                            r"in header '3 -2 1'"):
+            load_mesh(path)
+
     def test_no_boundary_lines_leave_mesh_unmarked(self, tmp_path):
         path = tmp_path / "bare.mesh"
         path.write_text("4 0 2\n" + self.SQUARE)
