@@ -10,6 +10,13 @@ evaluation, ``coarse`` solves, the FBF ``schur`` update, the Krylov
 orthogonalization remainder ``krylov``, and unattributed preconditioner
 glue ``other``.
 
+Each report also carries ``smoother_bytes``, the bytes of every patch
+smoother in the preconditioner's multigrid hierarchy (the ``nbytes`` of its
+index lists, shared patch inverses and scatter indices, summed over the
+levels of ``MGHierarchy.level_summary``). Tables print it as the column
+after the fixed ``COLUMNS``, before the kernel times, whenever a report
+carries it.
+
 Reports carry two families of derived metrics:
 
 - ``setup_frac`` — T(setup) / T(total) with T(total) = T(setup) + T(solve);
@@ -33,7 +40,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .problems import backward_facing_step, lid_driven_cavity, manufactured
-from .solvers import SOLVER_NAMES, build_solver, solve_stokes
+from .solvers import (SOLVER_NAMES, FBFPreconditioner, build_solver,
+                      solve_stokes)
 from .timing import Timings
 
 PROBLEMS = {
@@ -67,6 +75,7 @@ class RunReport:
     t_setup: float
     t_solve: float
     kernels: dict = field(default_factory=dict)
+    smoother_bytes: int | None = None
 
     @property
     def t_total(self):
@@ -133,6 +142,7 @@ def run(problem, family, k, refinements, solver, n_V=None, nu_p=None,
     precond_total = sum(krylov_report.precond_times)
     kernels["other"] = max(precond_total - kernel_timer.total(), 0.0)
     kernels["krylov"] = max(t_solve - precond_total, 0.0)
+    hierarchy = pc.inner if isinstance(pc, FBFPreconditioner) else pc
 
     return RunReport(
         problem=problem,
@@ -147,6 +157,7 @@ def run(problem, family, k, refinements, solver, n_V=None, nu_p=None,
         t_setup=t_setup,
         t_solve=t_solve,
         kernels=kernels,
+        smoother_bytes=sum(row[7] for row in hierarchy.level_summary()),
     )
 
 
@@ -173,6 +184,13 @@ class ComparisonTable:
                             "krylov", "other") if n in names]
         extra = sorted(names - set(rlx) - set(rest))
         return rlx + rest + extra
+
+    def columns(self):
+        """Every column of the table: COLUMNS, then ``smoother_bytes`` when
+        a report carries it, then the kernel times."""
+        memory = ["smoother_bytes"] if any(
+            r.smoother_bytes is not None for r in self.reports) else []
+        return COLUMNS + memory + self.kernel_names()
 
     def rows(self):
         kernel_names = self.kernel_names()
@@ -205,6 +223,8 @@ class ComparisonTable:
                 "r_total": _fmt_ratio(ratios[0]),
                 "r_setup": _fmt_ratio(ratios[1]),
                 "r_solve": _fmt_ratio(ratios[2]),
+                "smoother_bytes": ("" if r.smoother_bytes is None
+                                   else r.smoother_bytes),
             }
             for name in kernel_names:
                 row[name] = f"{r.kernels.get(name, 0.0):.6f}"
@@ -212,14 +232,14 @@ class ComparisonTable:
         return out
 
     def to_csv(self):
-        header = COLUMNS + self.kernel_names()
+        header = self.columns()
         lines = [",".join(header)]
         for row in self.rows():
             lines.append(",".join(str(row[c]) for c in header))
         return "\n".join(lines) + "\n"
 
     def to_markdown(self):
-        header = COLUMNS + self.kernel_names()
+        header = self.columns()
         rows = self.rows()
         widths = {c: max([len(str(c))] + [len(str(r[c])) for r in rows])
                   for c in header}

@@ -19,24 +19,31 @@ into index lists.
 The operator must be symmetric, as every operator assembled here is:
 each patch matrix is inverted through its Bunch-Kaufman LDL^T
 factorization (LAPACK dsytrf + dsytri), half the work of LU + inversion,
-and a nonsymmetric K is rejected with a ValueError. Factoring stores the
-smoother as `blocks`, a flat list of `(I, X)` pairs, one per chunk of
-equal-size patches, in order of patch size: `I` (p, m) stacks the index
-lists of the chunk's p patches of size m and `X` (p, m, m) their weighted
-inverses W_i inv(K(i)). Each size group is split evenly into chunks of at
-most about CHUNK_BYTES of `X`; the cut depends on the patch sizes alone. A
-sweep acts on an (n, c) block of c columns (c = 1 for a vector): one
-stacked product per chunk serves all columns, and one scatter-add per
-column sums the chunk contributions in chunk order, through an index built
-once at factoring, with no per-patch Python work.
+and a nonsymmetric K is rejected with a ValueError.
 
-Chunks are the unit of parallel work. A level whose patch inverses hold at
-least PARALLEL_BYTES inverts its gathered chunks, and forms their products
-in a sweep, on a shared pool of threads, one per CPU the process may run
-on (LAPACK and NumPy's products release the interpreter lock); the sum in
-chunk order makes a sweep bitwise the same for any number of workers.
-Smaller levels, where a thread handoff costs more than it saves, run on
-the calling thread.
+Patches of one size whose weights W_i are identical and whose matrices
+agree entrywise within SHARE_TOL max|K|, in sorted-DoF order, share one
+inverse, so each distinct weighted matrix is gathered, inverted and stored
+once: on a uniformly refined mesh most vertex patches repeat (the SV k4
+finest level of ldc-sv4-phmg keeps 102 inverses for 801 patches).
+Factoring stores the smoother as `blocks`, a flat list of `(I, X)` pairs in
+order of patch size m, then member count k: `I` (q, m, k) holds the index
+lists of q classes of k patches and `X` (q, m, m) their shared weighted
+inverses W_i inv(K(i)), split evenly into chunks of at most about
+CHUNK_BYTES of `X`. With k = 1 everywhere this is the layout of one inverse
+per patch, bit for bit. A sweep acts on an (n, c) block of c columns (c = 1
+for a vector): one product X @ r[I].reshape(q, m, k c) per chunk serves all
+members and columns, and one scatter-add per column sums the chunk
+contributions in chunk order, through an index built once at factoring,
+with no per-patch Python work.
+
+Chunks are the unit of parallel work. A level whose per-patch work, 8 m^2
+bytes per patch, sums to at least PARALLEL_BYTES inverts its chunks, and
+forms their products in a sweep, on a shared pool of threads, one per CPU
+the process may run on (LAPACK and NumPy's products release the
+interpreter lock); the sum in chunk order makes a sweep bitwise the same
+for any number of workers. Smaller levels, where a thread handoff costs
+more than it saves, run on the calling thread.
 """
 
 from __future__ import annotations
@@ -63,22 +70,34 @@ __all__ = [
 #: accepts; LDL^T reads only one triangle of each patch matrix.
 SYMMETRY_TOL = 1e-12
 
+#: Largest entrywise difference, relative to max|K|, between the matrices
+#: of two patches with equal weights that share one inverse. It sits below
+#: the roundoff of the LDL^T inverse: on the SV k4 finest level
+#: (ldc-sv4-phmg) repeated patches differ by at most 2.7e-15 max|K|, and a
+#: shared inverse is within 5.3e-15 (max-entry relative) of the dense
+#: inverse of a member's own matrix, against 6.5e-15 for the member's own
+#: LDL^T inverse. 1e-13 merges the same patches there; 1e-15 keeps 236 of
+#: the 801 inverses instead of 102.
+SHARE_TOL = 1e-14
+
 # Chunk bounds of the patch-matrix gather: patch rows per chunk, and entries
 # of the int32 (patch, DoF) -> position table.
 GATHER_ROWS = 4096
 GATHER_TABLE = 1 << 20
 
-#: Bytes of patch inverses per chunk, the unit of parallel work: 44 chunks
-#: on the finest SV k4 level (283 MB), enough to balance two or more
-#: workers, and few enough that the per-chunk overhead stays small.
+#: Bytes of patch inverses per chunk, the unit of parallel work: 34 chunks
+#: on the finest SV k4 level (45 MB of shared inverses), enough to balance
+#: two or more workers, and few enough that the per-chunk overhead stays
+#: small. Also the most patch matrices gathered at once.
 CHUNK_BYTES = 8 << 20
 
-#: Levels whose patch inverses hold fewer bytes run on the calling thread. A
-#: thread handoff costs about 0.1-0.15 ms; interleaved serial and 2-thread
-#: sweeps (medians of 60, 2-core host) ran 1.40-1.64x faster at 270 MB (SV
-#: k4 finest level) and 1.43-1.59x at 35 MB (TH k4 finest), but
-#: 0.90-1.17x at 9.8 MB (TH k4 two-component velocity Laplacian, finest
-#: level) and 0.27-0.82x at 2.5 MB and below.
+#: Levels whose per-patch work, 8 m^2 bytes per patch (the inverses the
+#: level would hold with no sharing), sums to less run on the calling
+#: thread. A thread handoff costs about 0.1-0.15 ms; interleaved serial and
+#: 2-thread sweeps of unshared inverses (medians of 60, 2-core host) ran
+#: 1.40-1.64x faster at 270 MB (SV k4 finest level) and 1.43-1.59x at
+#: 35 MB (TH k4 finest), but 0.90-1.17x at 9.8 MB (TH k4 two-component
+#: velocity Laplacian, finest level) and 0.27-0.82x at 2.5 MB and below.
 PARALLEL_BYTES = 16 << 20
 
 _pool = None
@@ -130,9 +149,15 @@ def _run(fn, items, nbytes):
 
 
 class PatchSet:
-    """Per-vertex DoF index lists, plus, once factored, the weighted patch
-    inverses in chunks of equal-size patches (`blocks`) and the sweep's
-    scatter index (`scatter`), the rows of every `I` in chunk order."""
+    """Per-vertex DoF index lists, plus, once factored, the shared weighted
+    patch inverses in chunks (`blocks`) and the sweep's scatter index
+    (`scatter`), the rows of every `I` in chunk order.
+
+    Each block is an (I, X) pair for q classes of patches with m DoFs and
+    k members each: I (q, m, k) holds the members' index lists, one member
+    per column, and X (q, m, m) the one weighted inverse W inv(K(i)) that
+    the k members of a class share.
+    """
 
     def __init__(self, n, vertices, indices, blocks=None):
         self.n = n
@@ -144,6 +169,18 @@ class PatchSet:
 
     def __len__(self):
         return len(self.indices)
+
+    @property
+    def inverses(self):
+        """Number of distinct patch inverses stored."""
+        return sum(len(X) for _, X in self.blocks)
+
+    @property
+    def nbytes(self):
+        """Bytes held by the factored smoother: every I and X, and the
+        scatter index."""
+        return (sum(I.nbytes + X.nbytes for I, X in self.blocks)
+                + self.scatter.nbytes)
 
 
 def _star_nodes(element, closed):
@@ -271,13 +308,14 @@ def _gather(K, I):
 
 
 def factor_patches(K, patches):
-    """Invert every patch submatrix of K and fold in the patch weights.
+    """Invert every distinct weighted patch submatrix of K once.
 
     K must be symmetric (to SYMMETRY_TOL relative to its largest entry);
     otherwise a ValueError is raised. Returns a new PatchSet holding
-    `blocks`. A singular patch matrix raises an error naming the offending
-    vertex (a sign the decomposition kept constrained DoFs it should have
-    excluded).
+    `blocks`, where patches that repeat a matrix and its weights share one
+    inverse (see `_chunks`). A singular patch matrix raises an error naming
+    the offending vertex, the first in (size, patch) order (a sign the
+    decomposition kept constrained DoFs it should have excluded).
     """
     K = K.tocsr()
     K.sum_duplicates()
@@ -286,8 +324,9 @@ def factor_patches(K, patches):
             f"operator shape {K.shape} does not match patch dimension "
             f"{patches.n}"
         )
+    scale = abs(K).max()
     asymmetry = abs(K - K.T).max()
-    if asymmetry > SYMMETRY_TOL * abs(K).max():
+    if asymmetry > SYMMETRY_TOL * scale:
         raise ValueError("patch relaxation needs a symmetric operator; "
                          f"K - K^T reaches {asymmetry:.3e}")
     multiplicity = np.bincount(
@@ -295,53 +334,113 @@ def factor_patches(K, patches):
         minlength=patches.n,
     )
     sizes = np.array([len(idx) for idx in patches.indices], dtype=np.intp)
+    failures = []  # (size, patch, error), appended from pool threads
 
     def invert(chunk):
-        members, I, X = chunk
-        m = I.shape[1]
+        representatives, I, X = chunk
+        m = X.shape[1]
         lower = np.tri(m, k=-1, dtype=bool)
         lwork = max(int(dsytrf_lwork(m, lower=1)[0]), 1)  # blocked dsytrf
-        for i, x in zip(members, X):
+        for i, x in zip(representatives, X):
             try:
                 # x.T is the Fortran-ordered view of the slot: its lower
                 # triangle, inverted in place, is the upper one of x
                 _ldl_invert(x.T, lwork)
             except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"singular patch matrix at vertex "
-                    f"{patches.vertices[i]}: {exc}"
-                ) from exc
+                failures.append((sizes[i], i, exc))
+                break
             np.copyto(x, x.T, where=lower)
-        X *= (1.0 / multiplicity[I])[:, :, None]
+        X *= (1.0 / multiplicity[I[:, :, 0]])[:, :, None]
         return I, X
 
-    blocks = _run(invert, _chunks(K, patches, sizes),
+    blocks = _run(invert, _chunks(K, patches, sizes, multiplicity, scale),
                   8 * int(np.sum(sizes**2)))
+    if failures:
+        # chunks hold their representatives in patch order, so the first
+        # failure of each chunk is that chunk's earliest
+        _, i, exc = min(failures, key=lambda failure: failure[:2])
+        raise SingularMatrixError(
+            f"singular patch matrix at vertex {patches.vertices[i]}: {exc}"
+        ) from exc
     return PatchSet(patches.n, list(patches.vertices),
                     list(patches.indices), blocks)
 
 
-def _chunks(K, patches, sizes):
-    """(patch numbers, index lists I, patch matrices X) of every chunk, in
-    size order.
+def _chunks(K, patches, sizes, multiplicity, scale):
+    """(representative patch numbers, I, X) of every chunk, in order of
+    patch size m, then member count k, then representative.
 
-    Each group of equal-size patches is gathered here, on the calling
-    thread, and split evenly into the fewest chunks of at most CHUNK_BYTES
-    of X (one patch per chunk where a single patch is larger); the chunks
-    are views of the group's arrays. On the workers, the mostly
-    interpreter-bound gather of the SV k4 finest level took 0.26 s instead
-    of 0.38 s, but the arrays and temporaries it left in the workers' own
-    malloc heaps raised the peak RSS of repeated setups and solves from
-    about 440 MB to 460-540 MB.
+    The classes of one (m, k) (see `_classes`) are split evenly into the
+    fewest chunks of at most CHUNK_BYTES of X (one class per chunk where a
+    single X is larger): I (q, m, k) holds the members' index lists, column
+    j the j-th member in patch order, and X (q, m, m) the representatives'
+    matrices. Each matrix leaves the class list as its chunk takes it, so
+    the matrices are held once.
     """
     chunks = []
     for m in np.unique(sizes):
         members = np.flatnonzero(sizes == m)
         I = np.stack([patches.indices[i] for i in members])
-        X = _gather(K, I)
-        pieces = min(-(-X.nbytes // CHUNK_BYTES), len(members))
-        chunks += zip(*(np.array_split(a, pieces) for a in (members, I, X)))
+        owner, matrices = _classes(K, I, multiplicity[I], scale)
+        count = np.bincount(owner)
+        by_class = np.argsort(owner, kind="stable")
+        first = np.cumsum(count) - count
+        for k in np.unique(count):
+            classes = np.flatnonzero(count == k)
+            pieces = min(-(-len(classes) * 8 * m * m // CHUNK_BYTES),
+                         len(classes))
+            for part in np.array_split(classes, pieces):
+                held = by_class[first[part][:, None] + np.arange(k)]
+                chunks.append((members[held[:, 0]],
+                               I[held].transpose(0, 2, 1).copy(),
+                               np.stack([matrices[c] for c in part])))
+                for c in part:
+                    matrices[c] = None
     return chunks
+
+
+def _classes(K, I, weights, scale):
+    """(class of each patch, matrix of each class) for the equal-size
+    patches with index lists I (p, m) and DoF multiplicities `weights`.
+
+    A patch joins the class of the first earlier patch (its
+    representative) it may share an inverse with, or starts a class.
+    Candidates come from the fingerprint h^T X g (g, h fixed, > 0): two
+    matrices within SHARE_TOL * scale have fingerprints within `window`,
+    which also covers the roundoff of both products, so the fingerprint
+    never rejects a true match, and the entrywise check admits no false one.
+
+    The matrices are gathered here in patch order and in pieces of at most
+    CHUNK_BYTES, keeping only the representatives', so the peak holds those
+    and one piece. Gathering on the pool's workers was faster (SV k4 finest
+    level, one inverse per patch: 0.26 s against 0.38 s) but the arrays it
+    left in their malloc heaps raised the peak RSS by 20-100 MB.
+    """
+    p, m = I.shape
+    tol = SHARE_TOL * scale
+    g, h = np.random.default_rng(0).uniform(1.0, 2.0, (2, m))
+    # |h^T (A - B) g| <= sum(h) sum(g) max|A - B|, and each product rounds
+    # by at most 2 gamma_m sum(h) sum(g) max|A|
+    window = h.sum() * g.sum() * (tol + 4 * m * np.finfo(float).eps * scale)
+    keys = np.empty(p)
+    owner = np.empty(p, dtype=np.intp)
+    representatives, matrices = [], []
+    step = max(1, CHUNK_BYTES // (8 * m * m))
+    for start in range(0, p, step):
+        X = _gather(K, I[start:start + step])
+        for j, x, key in zip(range(start, start + len(X)), X, X @ g @ h):
+            near = np.flatnonzero(
+                np.abs(keys[:len(representatives)] - key) <= window)
+            owner[j] = next(
+                (c for c in near
+                 if np.array_equal(weights[representatives[c]], weights[j])
+                 and np.abs(matrices[c] - x).max() <= tol),
+                len(representatives))
+            if owner[j] == len(representatives):
+                keys[owner[j]] = key
+                representatives.append(j)
+                matrices.append(x.copy())
+    return owner, matrices
 
 
 def asm_apply(patches, r):
@@ -364,9 +463,12 @@ def asm_apply(patches, r):
     # take: on the TH k4 scalar finest level (c = 2), fancy indexing R[I]
     # took about 200 us against 20 us
     def product(block):
-        return block[1] @ R.take(block[0], axis=0)
+        I, X = block
+        q, m, k = I.shape
+        return X @ R.take(I, axis=0).reshape(q, m, k * c)
 
-    products = _run(product, blocks, sum(X.nbytes for _, X in blocks))
+    products = _run(product, blocks,
+                    sum(X.nbytes * I.shape[2] for I, X in blocks))
     Y = np.concatenate([y.ravel() for y in products]).reshape(-1, c)
     z = np.empty(R.shape)
     for j in range(c):

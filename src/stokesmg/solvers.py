@@ -198,10 +198,19 @@ class MGHierarchy:
         return self.coarse.solve(r)
 
     def level_summary(self):
-        """(kind, family, degree, cells, dofs) per level, finest first; the
-        DoFs of a velocity-only level are those of its scalar space."""
+        """(kind, family, degree, cells, dofs, patches, distinct inverses,
+        smoother bytes) per level, finest first.
+
+        The DoFs of a velocity-only level are those of its scalar space.
+        Smoother bytes are the `nbytes` of the level's patch index lists,
+        shared inverses and scatter index (`PatchSet.nbytes`); the
+        coarsest level, solved directly, has no patches and counts 0 for
+        the last three fields.
+        """
         return [
             (lv.kind, lv.family, lv.k, lv.mesh.num_cells, lv.n)
+            + ((0, 0, 0) if lv.patches is None else
+               (len(lv.patches), lv.patches.inverses, lv.patches.nbytes))
             for lv in self.levels
         ]
 

@@ -170,6 +170,21 @@ class TestComparisonTable:
             assert float(row["setup_frac"]) == pytest.approx(
                 t_setup / t_total, abs=1e-9)
 
+    def test_smoother_bytes_column_follows_fixed_columns(self):
+        reports = [run("ldc2d", "th", 3, 1, solver)
+                   for solver in ("phmg-direct", "fbf-hmg")]
+        assert all(r.smoother_bytes > 0 for r in reports)
+        table = ComparisonTable(reports + [synthetic_report(solver="hmg")],
+                                reference="hmg")
+        header = table.to_csv().splitlines()[0].split(",")
+        assert header[:len(COLUMNS) + 1] == COLUMNS + ["smoother_bytes"]
+        rows = list(csv.DictReader(io.StringIO(table.to_csv())))
+        assert [row["smoother_bytes"] for row in rows] == [
+            str(reports[0].smoother_bytes), str(reports[1].smoother_bytes),
+            ""]
+        cells = table.to_markdown().splitlines()[0].strip("|").split("|")
+        assert [c.strip() for c in cells] == header
+
     def test_empty_reports_emit_header_only(self):
         table = ComparisonTable([], reference="hmg")
         assert table.to_csv() == ",".join(COLUMNS) + "\n"

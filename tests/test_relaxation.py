@@ -18,6 +18,7 @@ from stokesmg.mesh import (
     refine_barycentric,
     refine_uniform,
 )
+from stokesmg.problems import backward_facing_step
 from stokesmg.relaxation import (
     PatchSet,
     asm_apply,
@@ -25,6 +26,7 @@ from stokesmg.relaxation import (
     build_vanka_star_patches,
     factor_patches,
 )
+from stokesmg.solvers import build_hierarchy
 from stokesmg.spaces import build_space
 
 
@@ -191,12 +193,15 @@ class TestFactorPatches:
             multiplicity[idx] += 1.0
         rows = 0
         for I, X in factored.blocks:
-            assert X.shape == I.shape + I.shape[-1:]
-            for idx, x in zip(I, X):
-                expected = (np.linalg.inv(dense[np.ix_(idx, idx)])
-                            / multiplicity[idx][:, None])
-                assert np.allclose(x, expected, atol=1e-10)
-            rows += len(I)
+            # q classes of m DoFs and k members share their q inverses
+            q, m, k = I.shape
+            assert X.shape == (q, m, m)
+            for members, x in zip(I, X):
+                for idx in members.T:
+                    expected = (np.linalg.inv(dense[np.ix_(idx, idx)])
+                                / multiplicity[idx][:, None])
+                    assert np.allclose(x, expected, atol=1e-10)
+            rows += q * k
         assert rows == len(patches)
 
     def test_weights_sum_to_one(self):
@@ -512,6 +517,111 @@ class TestParallelPath:
             pool.shutdown()
         assert all(p is pool for p in pools)
         assert all(np.array_equal(z, expected) for zs in sweeps for z in zs)
+
+
+def sv_cavity_level():
+    """Operator and Vanka patches of SV k2 on the barycentric refinement of
+    a 4 x 4 cavity grid: 57 patches with 35 distinct weighted matrices,
+    whose repeats agree only to roundoff."""
+    prob = cavity_problem(k=2, family="sv", n=4)
+    mesh = refine_barycentric(prob.base_mesh)
+    system = assemble_stokes(prob, mesh)
+    return system.K, build_vanka_star_patches(
+        mesh, system.velocity_space, system.pressure_space,
+        system.dirichlet_dofs,
+    )
+
+
+def classes(factored):
+    """(m, k) index lists of every class of patches sharing one inverse,
+    one member per column, with that inverse."""
+    return [(members, x) for I, X in factored.blocks
+            for members, x in zip(I, X)]
+
+
+class TestSharedInverses:
+    def test_repeated_patches_share_and_match_their_own_inverse(self):
+        K, patches = sv_cavity_level()
+        factored = factor_patches(K, patches)
+        assert sum(len(X) for _, X in factored.blocks) < len(patches)
+        dense = K.toarray()
+        multiplicity = np.bincount(np.concatenate(patches.indices),
+                                   minlength=K.shape[0])
+        for members, x in classes(factored):
+            for idx in members.T:
+                own = (np.linalg.inv(dense[np.ix_(idx, idx)])
+                       / multiplicity[idx][:, None])
+                assert np.allclose(x, own, atol=1e-10)
+
+    def test_perturbed_entry_gives_its_patches_their_own_inverse(self):
+        K, patches = sv_cavity_level()
+        members = next(members for members, _ in
+                       classes(factor_patches(K, patches))
+                       if members.shape[1] > 1)
+        idx = members[:, 0]
+        a = idx[0]
+        b = idx[1 + np.argmax(np.abs(K[a, idx[1:]].toarray()))]
+        K = K.tolil()
+        delta = 1e-9 * abs(K).max()
+        K[a, b] += delta
+        K[b, a] += delta
+        K = K.tocsr()
+        factored = factor_patches(K, patches)
+        holders = [i for i, idx in enumerate(patches.indices)
+                   if a in idx and b in idx]
+        assert len(holders) >= 2
+        for members, _ in classes(factored):
+            if members.shape[1] > 1:
+                assert not any(a in idx and b in idx for idx in members.T)
+        r = np.random.default_rng(79).standard_normal(K.shape[0])
+        expected = dense_asm(K.toarray(), patches.indices) @ r
+        error = np.abs(asm_apply(factored, r) - expected).max()
+        assert error <= 1e-13 * np.abs(expected).max()
+
+    def test_singular_patch_names_first_vertex_in_size_order(self):
+        # Three singular patches; the first and last share a matrix, so
+        # their chunk (k = 2) runs after the middle patch's (k = 1). The
+        # error still names the first patch in (size, patch) order.
+        S = np.ones((2, 2))
+        K = sp.block_diag([S, 2.0 * S, S], format="csr")
+        patches = PatchSet(6, [10, 11, 12],
+                           [np.arange(2), np.arange(2, 4), np.arange(4, 6)])
+        with pytest.raises(SingularMatrixError,
+                           match="singular patch matrix at vertex 10:"):
+            factor_patches(K, patches)
+
+    def test_equal_matrices_with_unequal_weights_do_not_share(self):
+        # Every patch matrix is 2 I; DoFs 4 and 5 lie in two patches, so
+        # only the first and last patch have equal weights.
+        K = sp.identity(10, format="csr") * 2.0
+        patches = PatchSet(10, [0, 1, 2, 3],
+                           [np.array([0, 1, 2]), np.array([3, 4, 5]),
+                            np.array([4, 5, 6]), np.array([7, 8, 9])])
+        factored = factor_patches(K, patches)
+        shapes = [I.shape for I, _ in factored.blocks]
+        assert shapes == [(2, 3, 1), (1, 3, 2)]
+        assert np.array_equal(factored.blocks[1][0][0].T,
+                              [[0, 1, 2], [7, 8, 9]])
+        r = np.random.default_rng(83).standard_normal(10)
+        expected = dense_asm(K.toarray(), patches.indices) @ r
+        assert np.allclose(asm_apply(factored, r), expected, atol=1e-15)
+
+    def test_unstructured_mesh_shares_nothing(self):
+        # On the jittered backward-facing-step mesh no two patches repeat,
+        # so each size group keeps the even split into the fewest chunks
+        # of at most CHUNK_BYTES
+        h = build_hierarchy(backward_facing_step(1, 4), 1, "phmg-direct")
+        for level in h.levels[:-1]:
+            blocks = level.patches.blocks
+            assert all(I.shape[2] == 1 for I, _ in blocks)
+            sizes = np.array([len(idx) for idx in level.patches.indices])
+            expected = []
+            for m in np.unique(sizes):
+                p = int(np.sum(sizes == m))
+                pieces = min(-(-p * 8 * m * m // relaxation.CHUNK_BYTES), p)
+                expected += [len(part) for part in
+                             np.array_split(np.arange(p), pieces)]
+            assert [len(X) for _, X in blocks] == expected
 
 
 class TestSmoothingProperty:

@@ -165,6 +165,26 @@ class TestBuildPhmg:
         assert fams[1] == ("p", "th", 2)
         assert all(f[0] == "h" for f in fams[2:])
 
+    @pytest.mark.parametrize("monolithic", [True, False])
+    def test_level_table_counts_patches_inverses_and_bytes(self, monolithic):
+        h = build_hierarchy(lid_driven_cavity(1, 3, family="sv"), 1,
+                            "phmg-direct", monolithic=monolithic)
+        summary = h.level_summary()
+        for level, row in zip(h.levels, summary):
+            assert len(row) == 8
+            assert row[:5] == (level.kind, level.family, level.k,
+                               level.mesh.num_cells, level.n)
+            p = level.patches
+            if p is None:
+                assert row[5:] == (0, 0, 0)
+                continue
+            assert row[5] == len(p.indices)
+            assert row[6] == sum(X.shape[0] for _, X in p.blocks)
+            assert row[7] == (sum(I.nbytes + X.nbytes for I, X in p.blocks)
+                              + p.scatter.nbytes)
+        # the barycentric finest level repeats most of its patches
+        assert summary[0][6] < summary[0][5]
+
 
 class TestVelocityHierarchy:
     def test_hmg_descends_at_fixed_degree(self):
