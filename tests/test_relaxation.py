@@ -18,7 +18,7 @@ from stokesmg.mesh import (
     refine_barycentric,
     refine_uniform,
 )
-from stokesmg.problems import backward_facing_step
+from stokesmg.problems import backward_facing_step, lid_driven_cavity
 from stokesmg.relaxation import (
     PatchSet,
     asm_apply,
@@ -26,7 +26,7 @@ from stokesmg.relaxation import (
     build_vanka_star_patches,
     factor_patches,
 )
-from stokesmg.solvers import build_hierarchy
+from stokesmg.solvers import build_hierarchy, mesh_hierarchy
 from stokesmg.spaces import build_space
 
 
@@ -532,6 +532,17 @@ def sv_cavity_level():
     )
 
 
+def th_cavity_level():
+    """Operator and Vanka patches of TH k4 on the uniform refinement of a
+    4 x 4 cavity grid."""
+    prob = cavity_problem(k=4, n=4)
+    system = assemble_stokes(prob, refine_uniform(prob.base_mesh))
+    return system.K, build_vanka_star_patches(
+        system.velocity_space.mesh, system.velocity_space,
+        system.pressure_space, system.dirichlet_dofs,
+    )
+
+
 def classes(factored):
     """(m, k) index lists of every class of patches sharing one inverse,
     one member per column, with that inverse."""
@@ -540,8 +551,10 @@ def classes(factored):
 
 
 class TestSharedInverses:
-    def test_repeated_patches_share_and_match_their_own_inverse(self):
-        K, patches = sv_cavity_level()
+    @pytest.mark.parametrize("level", [sv_cavity_level, th_cavity_level],
+                             ids=["sv", "th"])
+    def test_repeated_patches_share_and_match_their_own_inverse(self, level):
+        K, patches = level()
         factored = factor_patches(K, patches)
         assert sum(len(X) for _, X in factored.blocks) < len(patches)
         dense = K.toarray()
@@ -622,6 +635,111 @@ class TestSharedInverses:
                 expected += [len(part) for part in
                              np.array_split(np.arange(p), pieces)]
             assert [len(X) for _, X in blocks] == expected
+
+    @pytest.mark.parametrize("family", ["th", "sv"])
+    def test_unshared_blocks_do_not_depend_on_the_canonical_order(self,
+                                                                 family):
+        # With no repeats, every inverse stays in its patch's sorted order:
+        # the blocks equal those of the same patches with no canonical order
+        h = build_hierarchy(backward_facing_step(1, 4, family=family), 1,
+                            "phmg-direct")
+        for level in h.levels[:-1]:
+            built = level.patches
+            assert built.order is not None
+            plain = factor_patches(level.K, PatchSet(built.n, built.vertices,
+                                                     built.indices))
+            assert len(plain.blocks) == len(built.blocks)
+            for (I, X), (J, Y) in zip(built.blocks, plain.blocks):
+                assert np.array_equal(I, J) and np.array_equal(X, Y)
+
+    def test_equal_fingerprints_with_unequal_matrices_do_not_share(self):
+        # Two equal-size, equal-weight patches whose matrices A and A + E
+        # differ by a symmetric E with h^T E g = 0 get equal fingerprints;
+        # only the entrywise check keeps them apart.
+        m = 4
+        g, h = relaxation._fingerprint_vectors(m)
+        A = 10.0 * np.eye(m) + np.ones((m, m))
+        E = np.zeros((m, m))
+        E[0, 1] = E[1, 0] = 1.0
+        E[2, 2] = -(h[0] * g[1] + h[1] * g[0]) / (h[2] * g[2])
+        assert abs(h @ E @ g) <= 1e-14 * (h @ np.abs(E) @ g)
+        K = sp.block_diag([A, A + E], format="csr")
+        assert np.abs(E).max() >= 1e10 * relaxation.SHARE_TOL * abs(K).max()
+        patches = PatchSet(2 * m, [0, 1], [np.arange(m), np.arange(m, 2 * m)])
+        factored = factor_patches(K, patches)
+        assert factored.inverses == 2
+        r = np.random.default_rng(89).standard_normal(2 * m)
+        expected = dense_asm(K.toarray(), patches.indices) @ r
+        error = np.abs(asm_apply(factored, r) - expected).max()
+        assert error <= 1e-13 * np.abs(expected).max()
+
+    def test_translated_patches_keep_their_count_under_refinement(self):
+        # Interior vertex patches of a uniformly refined cavity are
+        # translates of each other, so refining once more adds patches but
+        # no distinct inverses on the finest level
+        inverses = []
+        for refinements in (1, 2):
+            prob = lid_driven_cavity(refinements, 4)
+            system = assemble_stokes(prob, mesh_hierarchy(prob)[-1])
+            patches = build_vanka_star_patches(
+                system.velocity_space.mesh, system.velocity_space,
+                system.pressure_space, system.dirichlet_dofs)
+            inverses.append(factor_patches(system.K, patches).inverses)
+        assert inverses[0] == inverses[1]
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("family", ["th", "sv"])
+    def test_order_sorts_each_patch_by_its_key(self, family):
+        # key: field, component, the node's offset from the patch vertex,
+        # and in a discontinuous space the offset of the node's cell
+        # centroid, all between positions rounded to the grid; ties by
+        # sorted position
+        prob = cavity_problem(k=3, family=family, n=2)
+        mesh = refine_barycentric(refine_uniform(prob.base_mesh))
+        system = assemble_stokes(prob, mesh)
+        spaces = [system.velocity_space, system.pressure_space]
+        patches = build_vanka_star_patches(mesh, *spaces,
+                                           system.dirichlet_dofs)
+        corner = mesh.vertices.min(axis=0)
+        grid = relaxation.KEY_GRID * np.ptp(mesh.vertices, axis=0).max()
+        on_grid = lambda x: tuple(np.rint((x - corner) / grid))
+        centroids = mesh.vertices[mesh.cells].mean(axis=1)
+        starts = [0, spaces[0].num_dofs]
+        for v, idx, order in zip(patches.vertices, patches.indices,
+                                 patches.order):
+            assert np.array_equal(np.sort(order), np.arange(len(idx)))
+            origin = np.array(on_grid(mesh.vertices[v]))
+            keys = []
+            for position in order:
+                dof = idx[position]
+                field = int(dof >= starts[1])
+                space = spaces[field]
+                node, component = divmod(dof - starts[field],
+                                         space.components)
+                cell = (on_grid(centroids[node // space.element.num_nodes])
+                        if space.continuity == "discontinuous" else origin)
+                keys.append((field, component,
+                             *(on_grid(space.dof_coords[node]) - origin),
+                             *(np.array(cell) - origin), position))
+            assert keys == sorted(keys)
+
+    def test_hand_built_patches_compare_in_sorted_order(self):
+        # order None is the sorted order: two patches whose matrices agree
+        # only after a permutation keep their own inverses
+        K = sp.block_diag([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])],
+                          format="csr")
+        patches = PatchSet(4, [0, 1], [np.arange(2), np.arange(2, 4)])
+        assert factor_patches(K, patches).inverses == 2
+        reordered = PatchSet(4, [0, 1], patches.indices,
+                             order=[np.arange(2), np.array([1, 0])])
+        factored = factor_patches(K, reordered)
+        assert factored.inverses == 1
+        I, X = factored.blocks[0]
+        assert np.array_equal(I[0], [[0, 3], [1, 2]])
+        r = np.random.default_rng(97).standard_normal(4)
+        assert np.allclose(asm_apply(factored, r), r / np.diag(K.toarray()),
+                           rtol=1e-15)
 
 
 class TestSmoothingProperty:
