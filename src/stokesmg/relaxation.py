@@ -40,8 +40,8 @@ members and columns, and one scatter-add per column sums the chunk
 contributions in chunk order, through an index built once at factoring,
 with no per-patch Python work.
 
-Chunks are the unit of parallel work. A level whose per-patch work, 8 m^2
-bytes per patch, sums to at least PARALLEL_BYTES inverts its chunks, and
+Chunks are the unit of parallel work. A level whose stored inverses, the
+X of all its chunks, fill at least CHUNK_BYTES inverts its chunks, and
 forms their products in a sweep, on a shared pool of threads, one per CPU
 the process may run on (LAPACK and NumPy's products release the
 interpreter lock); the sum in chunk order makes a sweep bitwise the same
@@ -100,20 +100,16 @@ GATHER_TABLE = 1 << 20
 #: Bytes of patch inverses per chunk, the unit of parallel work: 13 chunks
 #: on the finest SV k4 level (12 MB of shared inverses), few enough that
 #: the per-chunk overhead stays small. Also the most patch matrices
-#: gathered at once.
+#: gathered at once, and the pool boundary: a level that stores at least
+#: this much runs on the pool (see `_run`), so changing it also moves
+#: levels between the pool and the calling thread. A pooled sweep (2-core
+#: host, BLAS at 1 thread, interleaved medians of 40) took 0.52-0.70 of the
+#: serial time on the bfs sv4 and th7 r1 finest levels (290-355 MB stored)
+#: and 1.29-1.89 of it on the TH k4 finest (ldc-th4-phmg, 1.4 MB), which
+#: stays serial. The cut at one chunk is not shown to pay: levels of 11-38
+#: MB lost or swung on the pool (the SV k4 finest, 11.6 MB, from 0.65 to
+#: 1.15 between sets of runs).
 CHUNK_BYTES = 8 << 20
-
-#: Levels whose per-patch work, 8 m^2 bytes per patch (the inverses the
-#: level would hold with no sharing), sums to less run on the calling
-#: thread. A thread handoff costs about 0.1-0.15 ms. With shared inverses
-#: in canonical order, interleaved serial and 2-thread sweeps (medians of
-#: 60 each, five sessions, 2-core host, BLAS at 1 thread) ran 0.90-1.23x
-#: as fast on the SV k4 finest level (283 MB of per-patch work, 14 MB
-#: stored, 13 chunks), 0.65-0.72x on the TH k4 finest (37 MB, 2 MB,
-#: 8 chunks) and 0.37-0.55x on the scalar TH k4 Laplacian's (2.6 MB), so
-#: this threshold, set on unshared inverses, now sends to the pool a level
-#: that the pool slows.
-PARALLEL_BYTES = 16 << 20
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -146,19 +142,22 @@ def _executor():
         return _pool
 
 
-def _run(fn, items, nbytes):
-    """[fn(item) for item in items], on the shared pool when the work spans
-    at least PARALLEL_BYTES.
+def _run(fn, chunks):
+    """[fn(chunk) for chunk in chunks], on the shared pool when the level
+    stores at least CHUNK_BYTES of inverses.
 
-    Results keep the order of `items`. A failing call does not stop the
-    others: every call finishes, then the first failure in item order is
+    Every chunk is a tuple whose last element is its X (q, m, m): the
+    (representatives, I, X) of `_chunks` when factoring, the (I, X) of
+    `blocks` in a sweep. What the level stores is the sum of their bytes.
+    Results keep the order of `chunks`. A failing call does not stop the
+    others: every call finishes, then the first failure in chunk order is
     raised, as a loop would raise it.
     """
-    pool = _executor() if nbytes >= PARALLEL_BYTES and len(items) > 1 \
-        else None
+    stored = sum(chunk[-1].nbytes for chunk in chunks)
+    pool = _executor() if stored >= CHUNK_BYTES and len(chunks) > 1 else None
     if pool is None:
-        return [fn(item) for item in items]
-    futures = [pool.submit(fn, item) for item in items]
+        return [fn(chunk) for chunk in chunks]
+    futures = [pool.submit(fn, chunk) for chunk in chunks]
     wait(futures)
     return [future.result() for future in futures]
 
@@ -412,8 +411,7 @@ def factor_patches(K, patches):
         X *= (1.0 / multiplicity[I[:, :, 0]])[:, :, None]
         return I, X
 
-    blocks = _run(invert, _chunks(K, patches, sizes, multiplicity, scale),
-                  8 * int(np.sum(sizes**2)))
+    blocks = _run(invert, _chunks(K, patches, sizes, multiplicity, scale))
     if failures:
         # chunks hold their representatives in patch order, so the first
         # failure of each chunk is that chunk's earliest
@@ -435,7 +433,8 @@ def _chunks(K, patches, sizes, multiplicity, scale):
     in their sorted DoF order, and I (q, m, k) the members' index lists,
     column j the j-th member in patch order, its DoFs in canonical order
     matched to the representative's sorted DoFs. Each matrix leaves the
-    class list as its chunk takes it, so the matrices are held once.
+    class list as its chunk takes it, so the matrices are held once. X
+    comes last, as in `blocks`, because `_run` reads it there.
     """
     chunks = []
     for m in np.unique(sizes):
@@ -565,8 +564,7 @@ def asm_apply(patches, r):
         q, m, k = I.shape
         return X @ R.take(I, axis=0).reshape(q, m, k * c)
 
-    products = _run(product, blocks,
-                    sum(X.nbytes * I.shape[2] for I, X in blocks))
+    products = _run(product, blocks)
     Y = np.concatenate([y.ravel() for y in products]).reshape(-1, c)
     z = np.empty(R.shape)
     for j in range(c):

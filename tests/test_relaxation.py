@@ -238,12 +238,14 @@ class TestFactorPatches:
             factor_patches(sp.csr_matrix(dense), patches)
 
     def test_nonsymmetric_operator_rejected(self):
-        K = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
-                                    [0.0, 2.0, 0.0],
-                                    [0.0, 0.0, 2.0]]))
         patches = PatchSet(3, [0, 1], [np.array([0, 1]), np.array([1, 2])])
-        with pytest.raises(ValueError, match="symmetric"):
-            factor_patches(K, patches)
+        # 0.0: K and K^T differ in pattern; 0.5: only in value
+        for lower in (0.0, 0.5):
+            K = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                        [lower, 2.0, 0.0],
+                                        [0.0, 0.0, 2.0]]))
+            with pytest.raises(ValueError, match="symmetric"):
+                factor_patches(K, patches)
 
     def test_indefinite_patches_use_two_by_two_pivots(self):
         # Saddle-point patches have zero diagonals, so LDL^T must pivot
@@ -381,13 +383,12 @@ def vanka_level(family):
 
 
 class TestParallelPath:
-    """With 32 kB chunks and no size threshold, small levels take the
-    multi-chunk path, here on a thread pool of a chosen size."""
+    """With 32 kB chunks, small levels store more than a chunk of inverses
+    and take the multi-chunk path, here on a thread pool of a chosen size."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(relaxation, "CHUNK_BYTES", 1 << 15)
-        monkeypatch.setattr(relaxation, "PARALLEL_BYTES", 0)
 
     @pytest.fixture
     def workers(self, monkeypatch):
@@ -486,10 +487,11 @@ class TestParallelPath:
         # on it; a race on its creation would hand out two pools.
         K, patches = vanka_level("sv")
         r = np.random.default_rng(71).standard_normal(K.shape[0])
-        monkeypatch.setattr(relaxation, "PARALLEL_BYTES", 1 << 62)
+        executor = relaxation._executor
+        monkeypatch.setattr(relaxation, "_executor", lambda: None)
         factored = factor_patches(K, patches)
         expected = asm_apply(factored, r)  # on this thread
-        monkeypatch.setattr(relaxation, "PARALLEL_BYTES", 0)
+        monkeypatch.setattr(relaxation, "_executor", executor)
         monkeypatch.setattr(relaxation, "_pool", None)
         callers = 8
         start = threading.Barrier(callers)
@@ -517,6 +519,29 @@ class TestParallelPath:
             pool.shutdown()
         assert all(p is pool for p in pools)
         assert all(np.array_equal(z, expected) for zs in sweeps for z in zs)
+
+
+def test_level_storing_less_than_a_chunk_stays_off_the_pool(monkeypatch):
+    # The TH k4 cavity finest level at two refinements (ldc-th4-phmg's)
+    # stores 1.4 MB of shared inverses, where the pool's handoffs cost more
+    # than they save, so it factors and sweeps on the calling thread
+    prob = lid_driven_cavity(2, 4)
+    system = assemble_stokes(prob, mesh_hierarchy(prob)[-1])
+    patches = build_vanka_star_patches(
+        system.velocity_space.mesh, system.velocity_space,
+        system.pressure_space, system.dirichlet_dofs)
+
+    def no_pool():
+        raise AssertionError("the level went to the thread pool")
+
+    monkeypatch.setattr(relaxation, "_executor", no_pool)
+    factored = factor_patches(system.K, patches)
+    assert len(factored.blocks) > 1  # only its stored bytes keep it serial
+    assert (sum(X.nbytes for _, X in factored.blocks)
+            < relaxation.CHUNK_BYTES)
+    R = np.random.default_rng(83).standard_normal((system.n, 2))
+    asm_apply(factored, R[:, 0])
+    asm_apply(factored, R)
 
 
 def sv_cavity_level():

@@ -656,8 +656,9 @@ class TestSolveStokes:
     def test_concurrent_solves_match_serial(self):
         # A race on shared factorization state can corrupt the heap and
         # abort the interpreter, so the threads run in a child process.
-        # With the threshold at zero every level factors and sweeps on the
-        # shared thread pool, which both solves feed at once.
+        # With 256-byte chunks every level stores more than a chunk of
+        # inverses, so every level factors and sweeps on the shared thread
+        # pool, which both solves feed at once.
         script = """
 import sys
 import threading
@@ -668,7 +669,7 @@ from stokesmg import relaxation
 from stokesmg.problems import lid_driven_cavity
 from stokesmg.solvers import build_solver, solve_stokes
 
-relaxation.PARALLEL_BYTES = 0
+relaxation.CHUNK_BYTES = 1 << 8
 for solver in ("phmg-direct", "fbf-phmg"):
     system, pc = build_solver(lid_driven_cavity(1, 3, base_n=8), 1, solver)
     serial, _ = solve_stokes(system, pc)
@@ -706,7 +707,7 @@ from stokesmg import relaxation
 from stokesmg.problems import lid_driven_cavity
 from stokesmg.solvers import build_hierarchy
 
-relaxation.PARALLEL_BYTES = 0
+relaxation.CHUNK_BYTES = 1 << 15
 level = build_hierarchy(lid_driven_cavity(1, 3, base_n=8), 1,
                         "phmg-direct").levels[0]
 r = np.random.default_rng(5).standard_normal(level.n)
