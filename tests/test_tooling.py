@@ -1,4 +1,4 @@
-"""The mesh generator under tools/ and the package's exported names."""
+"""The tools under tools/ and the package's exported names."""
 
 import importlib
 import importlib.util
@@ -6,6 +6,7 @@ import os
 import pkgutil
 
 import stokesmg
+from stokesmg import relaxation, solvers
 from stokesmg.mesh import save_mesh
 from stokesmg.problems import DATA_DIR
 
@@ -13,15 +14,33 @@ TOOLS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools")
 
 
-def test_make_bfs_mesh_reproduces_bundled_mesh(tmp_path):
+def load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "make_bfs_mesh", os.path.join(TOOLS, "make_bfs_mesh.py"))
+        name, os.path.join(TOOLS, f"{name}.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_make_bfs_mesh_reproduces_bundled_mesh(tmp_path):
+    tool = load_tool("make_bfs_mesh")
     out = tmp_path / "bfs2d_base.mesh"
     save_mesh(tool.build(), out)
     with open(os.path.join(DATA_DIR, "bfs2d_base.mesh"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_setup_peaks_reports_every_level_and_restores_solvers(capsys):
+    tool = load_tool("setup_peaks")
+    assert tool.main(["--problem", "ldc2d", "--family", "th", "--k", "3",
+                      "--refinements", "1", "--solver", "fbf-phmg"]) == 0
+    out = capsys.readouterr().out
+    for row in ("| l0 | assembly |", "| l0 | factor |", "| l0 | lambda |",
+                "| l0 | transfer |", "| l2 | coarse factor |",
+                "| outer | assembly |", "| outer | schur factor |",
+                "| build_solver |", "| solve_stokes |"):
+        assert row in out
+    assert solvers.factor_patches is relaxation.factor_patches
 
 
 def test_exported_names_resolve():
