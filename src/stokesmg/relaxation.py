@@ -30,16 +30,17 @@ inverse, so each distinct weighted matrix is inverted and stored once: on
 a uniformly refined mesh most vertex patches are translates of each other
 (the SV k4 finest level of ldc-sv4-phmg keeps 35 inverses for 801
 patches, and the count no longer grows with refinement).
-Factoring stores the smoother as `blocks`, a flat list of `(I, X)` pairs in
-order of patch size m, then member count k: `I` (q, m, k) holds the index
-lists of q classes of k patches and `X` (q, m, m) their shared weighted
-inverses W_i inv(K(i)), split evenly into chunks of at most about
-CHUNK_BYTES of `X`. With k = 1 everywhere this is the layout of one inverse
-per patch, bit for bit. A sweep acts on an (n, c) block of c columns (c = 1
-for a vector): one product X @ r[I].reshape(q, m, k c) per chunk serves all
-members and columns, and one scatter-add per column sums the chunk
-contributions in chunk order, through an index built once at factoring,
-with no per-patch Python work.
+Patch matrices are gathered, compared, inverted and stored in canonical
+order. Factoring stores the smoother as `blocks`, a flat list of `(I, X)`
+pairs in order of patch size m, then member count k: `I` (q, m, k) holds
+the canonical-order index lists of q classes of k patches and `X`
+(q, m, m) their shared weighted inverses W_i inv(K(i)), split evenly into
+chunks of at most about CHUNK_BYTES of `X`. With k = 1 everywhere this is
+the layout of one inverse per patch. A sweep acts on an (n, c) block of c
+columns (c = 1 for a vector): one product X @ r[I].reshape(q, m, k c) per
+chunk serves all members and columns, and one scatter-add per column sums
+the chunk contributions in chunk order, through an index built once at
+factoring, with no per-patch Python work.
 
 Chunks are the unit of parallel work. A level whose stored inverses, the
 X of all its chunks, fill at least CHUNK_BYTES inverts its chunks, and
@@ -171,14 +172,15 @@ class PatchSet:
 
     `order` holds one int array per patch: indices[i][order[i]] lists patch
     i's DoFs in canonical order (see `_patch_set`), the order in which
-    `factor_patches` compares patches. The builders set it; None, as in a
-    PatchSet built by hand, means the sorted order.
+    `factor_patches` compares, inverts and stores patch matrices. The
+    builders set it; None, as in a PatchSet built by hand, means the
+    sorted order.
 
     Each block is an (I, X) pair for q classes of patches with m DoFs and
-    k members each: I (q, m, k) holds the members' index lists, one member
-    per column, and X (q, m, m) the one weighted inverse W inv(K(i)) that
-    the k members of a class share, in the sorted DoF order of its first
-    member; the other columns list their DoFs matched to that order.
+    k members each: I (q, m, k) holds the members' index lists in
+    canonical order, one member per column, and X (q, m, m) the one
+    weighted inverse W inv(K(i)) that the k members of a class share, in
+    that order.
     """
 
     def __init__(self, n, vertices, indices, blocks=None, order=None):
@@ -441,78 +443,57 @@ def _chunks(K, patches, sizes, multiplicity, scale):
 
     The classes of one (m, k) (see `_classes`) are split evenly into the
     fewest chunks of at most CHUNK_BYTES of X (one class per chunk where a
-    single X is larger): X (q, m, m) holds the representatives' matrices,
-    in their sorted DoF order, and I (q, m, k) the members' index lists,
-    column j the j-th member in patch order, its DoFs in canonical order
-    matched to the representative's sorted DoFs. Each matrix leaves the
-    class list as its chunk takes it, so the matrices are held once. X
+    single X is larger): X (q, m, m) holds the representatives' matrices
+    and I (q, m, k) the members' index lists, column j the j-th member in
+    patch order, both in canonical DoF order. Each matrix leaves the dict
+    of `_classes` as its chunk takes it, so the matrices are held once. X
     comes last, as in `blocks`, because `_run` reads it there.
     """
     chunks = []
     for m in np.unique(sizes):
         members = np.flatnonzero(sizes == m)
         I = np.stack([patches.indices[i] for i in members])
-        order = (np.broadcast_to(np.arange(m), I.shape)
-                 if patches.order is None
-                 else np.stack([patches.order[i] for i in members]))
-        canonical = np.take_along_axis(I, order, axis=1)
-        owner, matrices = _classes(K, I, order, multiplicity[canonical],
-                                   scale)
-        count = np.bincount(owner)
-        by_class = np.argsort(owner, kind="stable")
-        first = np.cumsum(count) - count
+        if patches.order is not None:
+            I = np.take_along_axis(
+                I, np.stack([patches.order[i] for i in members]), axis=1)
+        classes, matrices = _classes(K, I, multiplicity[I], scale)
+        count = np.array(list(map(len, classes)))
         for k in np.unique(count):
-            classes = np.flatnonzero(count == k)
-            pieces = min(-(-len(classes) * 8 * m * m // CHUNK_BYTES),
-                         len(classes))
-            for part in np.array_split(classes, pieces):
-                held = by_class[first[part][:, None] + np.arange(k)]
-                # the canonical position of each sorted position of a
-                # representative
-                rank = np.argsort(order[held[:, 0]], axis=1)[:, None]
+            alike = np.flatnonzero(count == k)
+            pieces = min(-(-len(alike) * 8 * m * m // CHUNK_BYTES), len(alike))
+            for part in np.array_split(alike, pieces):
+                held = np.array([classes[c] for c in part])
                 chunks.append((members[held[:, 0]],
-                               np.take_along_axis(canonical[held], rank, 2)
-                               .transpose(0, 2, 1).copy(),
-                               np.stack([matrices[c] for c in part])))
-                for c in part:
-                    matrices[c] = None
+                               I[held].transpose(0, 2, 1).copy(),
+                               np.stack([matrices.pop(c) for c in part])))
     return chunks
 
 
 def _fingerprint_vectors(m):
-    """The fixed g, h > 0 of the fingerprint h^T C g of (m, m) matrices."""
+    """The fixed g, h > 0 of the fingerprint h^T X g of (m, m) matrices."""
     return np.random.default_rng(0).uniform(1.0, 2.0, (2, m))
 
 
-def _classes(K, I, order, weights, scale):
-    """(class of each patch, matrix of each class in its sorted DoF order)
-    for the equal-size patches with sorted index lists I (p, m), canonical
-    orders `order` (p, m) and DoF multiplicities `weights` (p, m) in
-    canonical order.
+def _classes(K, I, weights, scale):
+    """(members of each class, {class: its matrix}) for the equal-size
+    patches with index lists I (p, m) and DoF multiplicities `weights`
+    (p, m), both in canonical order, the order of the returned matrices.
+    A class lists its members' rows of I in increasing order.
 
     A patch joins the class of the first earlier patch (its
-    representative) it may share an inverse with, or starts a class.
-    Patches are compared in canonical order, by the matrix C = X[o][:, o]
-    of a patch with sorted-order matrix X and order o. Candidates come from
-    the fingerprint h^T C g (g, h fixed, > 0): two matrices within
+    representative) with equal weights whose matrix agrees with its own
+    entrywise within SHARE_TOL * scale, or starts a class. Candidates come
+    from the fingerprint h^T X g (g, h fixed, > 0): two matrices within
     SHARE_TOL * scale have fingerprints within `window`, which also covers
     the roundoff of both products, so the fingerprint never rejects a true
     match, and the entrywise check admits no false one.
 
-    The matrices are gathered here in sorted order, so a representative is
-    kept as gathered, and the entrywise check compares a patch with its
-    class's matrix permuted to the patch's sorted order. The permuted
-    matrices are kept for later members, at most CHUNK_BYTES of them: the
-    oldest is dropped first, and rebuilt if it is needed again (on the SV
-    k4 finest level of ldc-sv4-phmg none is). The matrices are gathered in
-    patch order and in pieces of at most CHUNK_BYTES, keeping only the
-    representatives', which become the stored inverses, so the search
-    holds at most two CHUNK_BYTES beyond them: the permutations and one
-    piece. Holding every permutation instead took 24-40 MB more on the
-    m = 358 and 362 patches of that level. Gathering on the pool's
-    workers was faster (SV k4 finest level, one inverse per patch: 0.26 s
-    against 0.38 s) but the arrays it left in their malloc heaps raised the
-    peak RSS by 20-100 MB.
+    The matrices are gathered in patch order and in pieces of at most
+    CHUNK_BYTES, keeping only the representatives', which become the
+    stored inverses, so the search holds at most one piece beyond them.
+    Gathering on the pool's workers was faster (SV k4 finest level, one
+    inverse per patch: 0.26 s against 0.38 s) but the arrays it left in
+    their malloc heaps raised the peak RSS by 20-100 MB.
     """
     p, m = I.shape
     tol = SHARE_TOL * scale
@@ -520,47 +501,22 @@ def _classes(K, I, order, weights, scale):
     # |h^T (A - B) g| <= sum(h) sum(g) max|A - B|, and each product rounds
     # by at most 2 gamma_m sum(h) sum(g) max|A|
     window = h.sum() * g.sum() * (tol + 4 * m * np.finfo(float).eps * scale)
-    rank = np.argsort(order, axis=1)  # canonical position of a sorted one
-    identity = np.arange(m).tobytes()
     keys = np.empty(p)
-    owner = np.empty(p, dtype=np.intp)
-    representatives, matrices = [], []
-    # patch matrices in CHUNK_BYTES: the most gathered at once, and the most
-    # permuted class matrices held
+    classes, matrices = [], {}
     step = max(1, CHUNK_BYTES // (8 * m * m))
-    permuted = {}  # (class, permutation) -> the class matrix permuted
-
-    def agrees(c, j, x):
-        """Whether patch j, with sorted-order matrix x, may share the
-        inverse of class c."""
-        i = representatives[c]
-        if not np.array_equal(weights[i], weights[j]):
-            return False
-        q = order[i][rank[j]]  # the representative's position of each of j's
-        alignment = c, q.tobytes()
-        C = matrices[c]
-        if alignment[1] != identity:
-            if alignment not in permuted:
-                if len(permuted) == step:  # drop the oldest
-                    del permuted[next(iter(permuted))]
-                permuted[alignment] = C[np.ix_(q, q)]
-            C = permuted[alignment]
-        return np.abs(C - x).max() <= tol
-
     for start in range(0, p, step):
         X = _gather(K, I[start:start + step])
-        r = rank[start:start + step]
-        prints = np.sum((X @ g[r][:, :, None])[:, :, 0] * h[r], axis=1)
-        for j, x, key in zip(range(start, start + len(X)), X, prints):
-            near = np.flatnonzero(
-                np.abs(keys[:len(representatives)] - key) <= window)
-            owner[j] = next((c for c in near if agrees(c, j, x)),
-                            len(representatives))
-            if owner[j] == len(representatives):
-                keys[owner[j]] = key
-                representatives.append(j)
-                matrices.append(x.copy())
-    return owner, matrices
+        for j, x, key in zip(range(start, start + len(X)), X, (X @ g) @ h):
+            near = np.flatnonzero(np.abs(keys[:len(classes)] - key) <= window)
+            c = next((c for c in near
+                      if np.array_equal(weights[classes[c][0]], weights[j])
+                      and np.abs(matrices[c] - x).max() <= tol), len(classes))
+            if c == len(classes):
+                keys[c] = key
+                classes.append([])
+                matrices[c] = x.copy()
+            classes[c].append(j)
+    return classes, matrices
 
 
 def asm_apply(patches, r):
