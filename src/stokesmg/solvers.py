@@ -20,6 +20,10 @@ matrix. The velocity block, grad:grad on interleaved components (DoF
 2g + c), is two copies of the scalar Laplacian with the same Dirichlet
 rows, so one cycle on the (n, 2) block of both components inverts it.
 
+A block of c columns costs c one-vector sparse products per operator
+(`linalg.spmv`), and each level's restriction P^T, like the FBF block B^T,
+is stored in CSR form at build, so a solve builds no transpose.
+
 All hierarchy operators are rediscretized (not Galerkin products); the two
 agree on interior rows here because the bilinear forms carry no
 stabilization terms.
@@ -40,7 +44,7 @@ from .assembly import (
     collect_dirichlet,  # noqa: F401, a traced name (perfbench/tracer.py)
     eliminate_dirichlet,
 )
-from .linalg import chebyshev, estimate_lambda_max, fgmres
+from .linalg import chebyshev, estimate_lambda_max, fgmres, spmv
 # perfbench/tracer.py times the coarse factorization under this name
 from .linalg import sparse_lu as dense_lu
 from .mesh import refine_barycentric, refine_uniform
@@ -142,6 +146,9 @@ class MGLevel:
 class MGHierarchy:
     """Ordered multigrid levels, finest first, plus the coarse solver.
 
+    `restrictions[l]` is level l's P^T in CSR form, stored once here and
+    read by every cycle's restriction; the coarsest level has none.
+
     Built hierarchies are immutable by convention: `vcycle` only reads from
     them, so one hierarchy can serve many concurrent solves. Sweeps of the
     large levels from all of these solves share one thread pool per process
@@ -175,6 +182,7 @@ class MGHierarchy:
             raise ValueError("coarse factorization does not match the "
                              "coarsest operator")
         self.levels = levels
+        self.restrictions = [level.P.T.tocsr() for level in levels[:-1]]
         self.coarse = coarse
         self.pinned_dof = pinned_dof
         self.n_V = n_V
@@ -398,7 +406,10 @@ def vcycle(hierarchy, b, timer=None):
 
     `b` is an (n,) vector or an (n, c) block; the cycle is linear and acts
     on each column alike, so one pass over a block serves all its columns
-    with the same sweeps, SpMVs and coarse solves.
+    with the same sweeps and coarse solves. Its sparse products run one
+    column at a time (`spmv`): c one-vector products per operator, faster
+    than SciPy's multi-vector kernel and equal to it bitwise. Restriction
+    reads the hierarchy's stored P^T.
 
     Every smoothing call and coarse correction starts from zero on a
     residual: per level, x = `nu` Chebyshev-accelerated additive Schwarz
@@ -426,7 +437,7 @@ def _cycle(hierarchy, l, b, timer):
             return hierarchy.coarse_solve(b)
 
     def apply_MK(v, _p=level.patches, _K=level.K):
-        return asm_apply(_p, _K @ v)
+        return asm_apply(_p, spmv(_K, v))
 
     def apply_Minv(r, _p=level.patches):
         return asm_apply(_p, r)
@@ -435,19 +446,19 @@ def _cycle(hierarchy, l, b, timer):
     with timer.scope(rlx):
         x = chebyshev(apply_MK, apply_Minv, b, level.nu, level.lambda_max)
     with timer.scope("residual"):
-        r = b - level.K @ x
+        r = b - spmv(level.K, x)
     with timer.scope("transfer"):
-        rc = level.P.T @ r
+        rc = spmv(hierarchy.restrictions[l], r)
     e = _cycle(hierarchy, l + 1, rc, timer)
     if level.kind == P_LEVEL and levels[l + 1].kind == H_LEVEL:
         for _ in range(hierarchy.n_V - 1):
             with timer.scope("residual"):
-                rc_e = rc - levels[l + 1].K @ e
+                rc_e = rc - spmv(levels[l + 1].K, e)
             e += _cycle(hierarchy, l + 1, rc_e, timer)
     with timer.scope("transfer"):
-        x = x + level.P @ e
+        x = x + spmv(level.P, e)
     with timer.scope("residual"):
-        r = b - level.K @ x
+        r = b - spmv(level.K, x)
     with timer.scope(rlx):
         x += chebyshev(apply_MK, apply_Minv, r, level.nu, level.lambda_max)
     return x
@@ -462,7 +473,8 @@ class FBFPreconditioner:
     V-cycle of the inner hierarchy); `schur_solve` inverts the pressure
     mass matrix exactly. `B` is the eliminated lower off-diagonal block of
     the outer operator, whose upper block is B^T (the elimination is
-    symmetric). Like `MGHierarchy`, a built preconditioner is only read by
+    symmetric); `BT` holds B^T in CSR form, stored once here for
+    `fbf_apply`. Like `MGHierarchy`, a built preconditioner is only read by
     `fbf_apply`, so one instance can serve many concurrent solves.
     """
 
@@ -475,6 +487,7 @@ class FBFPreconditioner:
         self.apply_Ainv = apply_Ainv
         self.schur_solve = schur_solve
         self.B = B
+        self.BT = B.T.tocsr()
         self.n_u = n_u
         self.n_p = n_p
         self.inner = inner
@@ -538,7 +551,7 @@ def fbf_apply(pc, r, timer=None):
     with timer.scope("schur"):
         w = r_p - pc.B @ t
         s = pc.schur_solve(w)
-        g = pc.B.T @ s
+        g = pc.BT @ s
     z_u = t - pc.apply_Ainv(g, timer)
     return np.concatenate([z_u, s])
 

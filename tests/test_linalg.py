@@ -11,6 +11,7 @@ from stokesmg.linalg import (
     estimate_lambda_max,
     fgmres,
     sparse_lu,
+    spmv,
 )
 from stokesmg.problems import lid_driven_cavity
 from stokesmg.solvers import build_hierarchy
@@ -202,6 +203,25 @@ class TestFGMRES:
         assert report.reason == "maxiter"
         assert np.array_equal(x, np.zeros(4))
 
+    @pytest.mark.parametrize("apply_P, x_kept, residual", [
+        (lambda v: np.zeros_like(v), np.zeros(5), np.sqrt(5.0)),
+        (lambda v: np.where(np.arange(5) == 0, 0.0, v),
+         np.array([0.0, 0.5, 0.5, 0.5, 0.5]), 1.0),
+    ], ids=["zero", "nullspace"])
+    def test_singular_least_squares_reports_breakdown(self, apply_P, x_kept,
+                                                      residual):
+        # K P misses e_0 (or everything): a step adds no new direction to
+        # its range, and the rotated Hessenberg matrix gets a zero diagonal.
+        # The iterate is the best one of the steps before.
+        K, b = 2.0 * np.eye(5), np.ones(5)
+        x, report = fgmres(lambda v: K @ v, apply_P, b, restart=3)
+        assert report.reason == "breakdown" and not report.converged
+        assert np.allclose(x, x_kept, rtol=0.0, atol=1e-15)
+        assert report.final_residual == np.linalg.norm(b - K @ x)
+        assert report.final_residual == pytest.approx(residual, rel=1e-14)
+        assert len(report.history) == report.iterations + 1
+        assert report.history[-1] == report.history[-2]
+
 
 class TestFGMRESRestarts:
     """Restarted FGMRES against the dense restarted-GMRES oracle."""
@@ -248,6 +268,43 @@ class TestFGMRESRestarts:
         assert report.iterations == 6
         assert np.array_equal(x, x1)
         assert report.final_residual == report1.final_residual
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSpmv:
+    """`spmv` multiplies a block one column at a time, bitwise as A @ X."""
+
+    @pytest.fixture(scope="class")
+    def level(self):
+        return build_hierarchy(lid_driven_cavity(2, 3), 2, "phmg-direct",
+                               monolithic=False).levels[0]
+
+    @pytest.mark.parametrize("columns", [None, 1, 2, 3])
+    @pytest.mark.parametrize("operator", ["K", "P", "P^T"])
+    def test_equals_scipy_product_bitwise(self, level, operator, columns):
+        A = {"K": level.K, "P": level.P, "P^T": level.P.T.tocsr()}[operator]
+        shape = (A.shape[1],) if columns is None else (A.shape[1], columns)
+        X = np.random.default_rng(17).standard_normal(shape)
+        out = spmv(A, X)
+        assert out.shape == (A @ X).shape
+        assert np.array_equal(_bits(out), _bits(A @ X))
+
+    def test_stored_restriction_equals_transpose_bitwise(self):
+        h = build_hierarchy(lid_driven_cavity(2, 3), 2, "phmg-direct",
+                            monolithic=False)
+        assert len(h.restrictions) == len(h.levels) - 1
+        rng = np.random.default_rng(19)
+        for level, R in zip(h.levels, h.restrictions):
+            assert R.format == "csr" and R.shape == level.P.shape[::-1]
+            C = level.P.tocsc()  # the arrays of P^T in CSR form
+            assert np.array_equal(R.indptr, C.indptr)
+            assert np.array_equal(R.indices, C.indices)
+            assert np.array_equal(_bits(R.data), _bits(C.data))
+            X = rng.standard_normal((R.shape[1], 2))
+            assert np.array_equal(_bits(spmv(R, X)), _bits(level.P.T @ X))
 
 
 class TestLambdaMax:

@@ -268,6 +268,17 @@ class TestColumnBlocks:
             vcycle(h, b, timer=timer)
             assert {k: timer.calls[k] for k in expected} == expected
 
+    def test_block_equals_scipy_block_products_bitwise(self,
+                                                       velocity_hierarchy,
+                                                       monkeypatch):
+        # The cycle's column-by-column products give the bits of SciPy's
+        # multi-vector kernel.
+        h = velocity_hierarchy
+        B = np.random.default_rng(47).standard_normal((h.n, 2))
+        X = vcycle(h, B)
+        monkeypatch.setattr(solvers, "spmv", lambda A, X: A @ X)
+        assert np.array_equal(X.view(np.uint64), vcycle(h, B).view(np.uint64))
+
     @pytest.mark.parametrize("shape", [(3,), (3, 2), (None, 2, 1)])
     def test_rejects_other_shapes(self, velocity_hierarchy, shape):
         h = velocity_hierarchy
@@ -634,6 +645,22 @@ class TestSolveStokes:
             assert isinstance(pc, FBFPreconditioner)
             x, rep = solve_stokes(system, pc)
             assert rep.converged
+
+    @pytest.mark.parametrize("solver", ["phmg-direct", "fbf-phmg"])
+    def test_solve_builds_no_transpose(self, solver, monkeypatch):
+        # Restriction and the FBF Schur update read transposes stored at
+        # build; the solve itself transposes nothing.
+        system, pc = build_solver(lid_driven_cavity(1, 3), 1, solver)
+        calls = []
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                    sp.csr_array, sp.csc_array, sp.coo_array):
+            def counted(self, *args, _transpose=cls.transpose, **kwargs):
+                calls.append(type(self).__name__)
+                return _transpose(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "transpose", counted)
+        _, rep = solve_stokes(system, pc)
+        assert rep.converged
+        assert calls == []
 
     def test_nan_preconditioner_stops_at_once(self):
         prob = lid_driven_cavity(1, 2)

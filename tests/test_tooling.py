@@ -1,5 +1,6 @@
 """The tools under tools/ and the package's exported names."""
 
+import glob
 import importlib
 import importlib.util
 import os
@@ -7,6 +8,7 @@ import pkgutil
 
 import stokesmg
 from stokesmg import relaxation, solvers
+from stokesmg.bench import read_sweep_config
 from stokesmg.mesh import save_mesh
 from stokesmg.problems import DATA_DIR
 
@@ -50,3 +52,25 @@ def test_exported_names_resolve():
         missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert missing == []
+
+
+def test_checked_in_sweep_configs_parse():
+    # The configs that regenerate the README's paper-claims table; they are
+    # parsed here, not run.
+    paths = sorted(glob.glob(os.path.join(TOOLS, "sweeps", "*.cfg")))
+    grid = set()
+    for path in paths:
+        config = read_sweep_config(path)
+        grid |= {(config["problem"], config["family"], k, r, solver)
+                 for k in config["k"] for r in config["refinements"]
+                 for solver in config["solvers"]}
+    claims = [("ldc2d", "th", k, 2, s) for k in (4, 7)
+              for s in ("hmg", "phmg-direct")]
+    claims += [("bfs2d", "th", k, 1, s) for k in (4, 7)
+               for s in ("hmg", "phmg-direct")]
+    claims += [(p, "sv", 4, r, s) for p, r in (("ldc2d", 2), ("bfs2d", 1))
+               for s in ("phmg-direct", "fbf-phmg")]
+    claims += [(p, "th", 7, r, "phmg-gradual")
+               for p, r in (("ldc2d", 2), ("bfs2d", 1))]
+    assert len(paths) == 4
+    assert set(claims) <= grid
