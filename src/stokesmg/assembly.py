@@ -15,8 +15,7 @@ and two 32-bit index arrays) plus the CSR they sum into. K is then joined
 row by row from the CSR blocks and eliminated in place, so the saddle
 system peaks at its blocks plus K: on the SV k4 finest level of
 ldc-sv4-phmg (a 25 MB K) `assemble_stokes` traces a 59 MB peak above its
-start, below the 78 MB the built solver traces during its solve (91 MB
-when the blocks were joined through COO and the elimination copied K).
+start, below the 80 MB the built solver traces during its solve.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ orthogonalization remainder ``krylov``, and unattributed preconditioner
 glue ``other``.
 
 Each report also carries ``smoother_bytes``, the bytes of every patch
-smoother in the preconditioner's multigrid hierarchy (the ``nbytes`` of its
-index lists, shared patch inverses and scatter indices, summed over the
-levels of ``MGHierarchy.level_summary``). Tables print it as the column
-after the fixed ``COLUMNS``, before the kernel times, whenever a report
-carries it.
+smoother in the preconditioner's multigrid hierarchy (``PatchSet.nbytes``:
+each class's member index lists and shared patch inverse, and the scatter
+index, summed over the levels of ``MGHierarchy.level_summary``; the
+builders' per-patch index and order arrays are not counted). Tables print
+it as the column after the fixed ``COLUMNS``, before the kernel times,
+whenever a report carries it.
 
 Reports carry two families of derived metrics:
 

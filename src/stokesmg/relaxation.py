@@ -109,8 +109,11 @@ GATHER_TABLE = 1 << 20
 #: serial time on the bfs sv4 and th7 r1 finest levels (290-355 MB stored)
 #: and 1.29-1.89 of it on the TH k4 finest (ldc-th4-phmg, 1.4 MB), which
 #: stays serial. The cut at one chunk is not shown to pay: levels of 11-38
-#: MB lost or swung on the pool (the SV k4 finest, 11.6 MB, from 0.65 to
-#: 1.15 between sets of runs).
+#: MB lost or swung on the pool. In whole solves against a copy without
+#: the pool (medians of 6 alternating pairs), ldc-sv4-phmg, whose only
+#: pooled level is the SV k4 finest (11.6 MB), took 1.12 of the serial
+#: time, and phmg-direct on bfs sv4 and th7 r1 took 0.72-0.75 of it.
+#: Moving the cut waits for bfs workloads in the benchmark.
 CHUNK_BYTES = 8 << 20
 
 _pool = None
@@ -202,8 +205,9 @@ class PatchSet:
 
     @property
     def nbytes(self):
-        """Bytes held by the factored smoother: every I and X, and the
-        scatter index."""
+        """Bytes that factoring stores for the sweep: every I and X, and the
+        scatter index. The builders' `indices` and `order`, also kept, are
+        not counted (2.21 MB beside 14.33 MB on ldc-sv4-phmg's finest)."""
         return (sum(I.nbytes + X.nbytes for I, X in self.blocks)
                 + self.scatter.nbytes)
 

@@ -5,9 +5,11 @@ refinements, cycle, monolithic)`, fed by one level plan, `level_specs`.
 The `cycle` names the coarsening: "hmg" coarsens in mesh size only at the
 problem's degree; "phmg-direct" and "phmg-gradual" first lower the degree
 on the finest mesh (straight to 2, or through one intermediate degree) and
-then coarsen in mesh size at degree 2. A monolithic hierarchy carries the
-full Taylor-Hood/Scott-Vogelius saddle system on every level; a
-velocity-only one carries the scalar Laplacian of one velocity component.
+then coarsen in mesh size at degree 2. Each level carries the tuple of
+spaces its operator acts on: (velocity, pressure) for the Taylor-Hood/
+Scott-Vogelius saddle operator of a monolithic hierarchy, (scalar
+velocity,) for the one-component Laplacian of a velocity-only one. One
+transfer per space connects it to the next coarser level.
 Relaxation on every level is Chebyshev-accelerated additive Schwarz over
 vertex patches; the coarsest level is solved by a sparse LU (SuperLU), so
 its size has no limit beyond memory.
@@ -120,9 +122,9 @@ class MGLevel:
     directly), and `P` the prolongation from the next-coarser level into
     this one (None on the coarsest). `kind` tags the level as p- or
     h-coarsened, which picks the sweep count and where the inner-cycle
-    count applies. For monolithic levels `system` is the full saddle
-    assembly; velocity-only levels carry the scalar `space` of their
-    Laplacian instead, and `dirichlet_dofs` are then scalar DoFs.
+    count applies. `spaces` are (velocity, pressure) on a monolithic level
+    and (scalar velocity,) on a velocity-only one; `dirichlet_dofs` index
+    their joint numbering.
     """
 
     K: object
@@ -135,8 +137,7 @@ class MGLevel:
     k: int
     mesh: object
     dirichlet_dofs: np.ndarray
-    system: object = None
-    space: object = None
+    spaces: tuple
 
     @property
     def n(self):
@@ -144,7 +145,8 @@ class MGLevel:
 
 
 class MGHierarchy:
-    """Ordered multigrid levels, finest first, plus the coarse solver.
+    """Ordered multigrid levels, finest first, the coarse solver and, as
+    `system`, the finest `SaddleSystem` (None for a velocity-only one).
 
     `restrictions[l]` is level l's P^T in CSR form, stored once here and
     read by every cycle's restriction; the coarsest level has none.
@@ -155,7 +157,7 @@ class MGHierarchy:
     (see `relaxation`), and each gives the same bits as a solve run alone.
     """
 
-    def __init__(self, levels, coarse, pinned_dof, n_V):
+    def __init__(self, levels, coarse, pinned_dof, n_V, system):
         if not levels:
             raise ValueError("a hierarchy needs at least one level")
         seen_h = False
@@ -181,11 +183,12 @@ class MGHierarchy:
         if coarse.shape != levels[-1].K.shape:
             raise ValueError("coarse factorization does not match the "
                              "coarsest operator")
-        self.levels = levels
+        self.levels = list(levels)
         self.restrictions = [level.P.T.tocsr() for level in levels[:-1]]
         self.coarse = coarse
         self.pinned_dof = pinned_dof
         self.n_V = n_V
+        self.system = system
 
     @property
     def n(self):
@@ -210,10 +213,10 @@ class MGHierarchy:
         smoother bytes) per level, finest first.
 
         The DoFs of a velocity-only level are those of its scalar space.
-        Smoother bytes are the `nbytes` of the level's patch index lists,
-        shared inverses and scatter index (`PatchSet.nbytes`); the
-        coarsest level, solved directly, has no patches and counts 0 for
-        the last three fields.
+        Smoother bytes are `PatchSet.nbytes`, the level's blocks and
+        scatter index without the builders' per-patch `indices` and
+        `order`; the coarsest level, solved directly, has no patches and
+        counts 0 for the last three fields.
         """
         return [
             (lv.kind, lv.family, lv.k, lv.mesh.num_cells, lv.n)
@@ -302,24 +305,19 @@ def _build_level(problem, spec, is_coarsest, nu_p, nu_h):
         system = assemble_stokes(problem, spec.mesh, k=spec.k,
                                  family=spec.family)
         K, dirichlet = system.K, system.dirichlet_dofs
-        space = None
+        spaces = (system.velocity_space, system.pressure_space)
+        build_patches = build_vanka_star_patches
     else:
-        system = None
         space = build_space(spec.mesh, spec.k, "continuous")
         dirichlet = space.boundary_scalar_dofs(markers=set(problem.dirichlet))
         K, _ = eliminate_dirichlet(assemble_vector_laplacian(space),
                                    dirichlet, 0.0)
+        system, spaces, build_patches = None, (space,), build_star_patches
 
     patches, lam, nu = None, 0.0, 0
     if not is_coarsest:
-        if spec.family is not None:
-            patches = build_vanka_star_patches(
-                spec.mesh, system.velocity_space, system.pressure_space,
-                dirichlet,
-            )
-        else:
-            patches = build_star_patches(spec.mesh, space, dirichlet)
-        patches = factor_patches(K, patches)
+        patches = factor_patches(K, build_patches(spec.mesh, *spaces,
+                                                  dirichlet))
         if not _patch_coverage_ok(patches, K.shape[0], dirichlet):
             raise ValueError("relaxation patches do not cover every "
                              "unconstrained DoF")
@@ -330,8 +328,8 @@ def _build_level(problem, spec, is_coarsest, nu_p, nu_h):
     return MGLevel(
         K=K, patches=patches, nu=nu, lambda_max=lam, P=None, kind=spec.kind,
         family=spec.family, k=spec.k, mesh=spec.mesh,
-        dirichlet_dofs=dirichlet, system=system, space=space,
-    )
+        dirichlet_dofs=dirichlet, spaces=spaces,
+    ), system
 
 
 def _space_transfer(coarse_space, fine_space):
@@ -347,15 +345,10 @@ def _space_transfer(coarse_space, fine_space):
 
 def _connect_levels(levels):
     for upper, lower in zip(levels, levels[1:]):
-        if upper.system is not None:
-            P = build_monolithic_transfer(
-                _space_transfer(lower.system.velocity_space,
-                                upper.system.velocity_space),
-                _space_transfer(lower.system.pressure_space,
-                                upper.system.pressure_space),
-            )
-        else:
-            P = _space_transfer(lower.space, upper.space)
+        P = build_monolithic_transfer(*[
+            _space_transfer(coarse, fine)
+            for coarse, fine in zip(lower.spaces, upper.spaces)
+        ])
         upper.P = filter_dirichlet(P, upper.dirichlet_dofs,
                                    lower.dirichlet_dofs)
 
@@ -365,11 +358,12 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
     """Multigrid hierarchy for the saddle system or its velocity block.
 
     `cycle` is "hmg", "phmg-direct" or "phmg-gradual" (see `level_specs`).
-    A monolithic hierarchy preconditions the full saddle system. With
-    `monolithic=False` it covers the scalar Laplacian of one velocity
-    component, as used inside FBF: one-component spaces, the problem's
-    Dirichlet boundary eliminated with zero values, vertex-star patches (no
-    closure ring, no pressure), scalar transfers and a scalar coarse solve.
+    A monolithic hierarchy preconditions the full saddle system and keeps
+    its finest one as `system`. With `monolithic=False` it covers the
+    scalar Laplacian of one velocity component, as used inside FBF:
+    one-component spaces, the problem's Dirichlet boundary eliminated with
+    zero values, vertex-star patches (no closure ring, no pressure), scalar
+    transfers and a scalar coarse solve; `system` is None.
     The coarsest level is factored by SuperLU and has no size limit.
     The h-portion runs `n_V` times per outer cycle; `nu_p`/`nu_h` are the
     sweep counts on p- and h-levels (defaults in `DEFAULT_CYCLE_PARAMS`).
@@ -381,10 +375,10 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
     if min(n_V, nu_p, nu_h) < 1:
         raise ValueError("cycle parameters must be >= 1")
     specs = level_specs(problem, refinements, cycle, monolithic)
-    levels = [
+    levels, systems = zip(*[
         _build_level(problem, spec, i == len(specs) - 1, nu_p, nu_h)
         for i, spec in enumerate(specs)
-    ]
+    ])
     _connect_levels(levels)
     coarsest = levels[-1]
     pinned = None
@@ -396,7 +390,7 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
         D = sp.diags(d)
         K = D @ K @ D + sp.diags(1.0 - d)
     coarse = dense_lu(K)
-    return MGHierarchy(levels, coarse, pinned, n_V)
+    return MGHierarchy(levels, coarse, pinned, n_V, systems[0])
 
 
 # -- V-cycle ----------------------------------------------------------------
@@ -564,15 +558,16 @@ def build_solver(problem, refinements, solver, n_V=None, nu_p=None,
 
     `solver` is one of hmg, phmg-direct, phmg-gradual, fbf-hmg, fbf-phmg.
     The monolithic solvers are `build_hierarchy` with the solver name as
-    its cycle. The FBF variants pair a velocity-only hierarchy of the
-    scalar Laplacian (h-coarsened, or p-then-h with the direct schedule)
-    with the pressure-mass Schur approximation; the outer saddle system is
-    assembled on that hierarchy's finest mesh.
+    its cycle, paired with its `system`. The FBF variants pair a
+    velocity-only hierarchy of the scalar Laplacian (h-coarsened, or
+    p-then-h with the direct schedule) with the pressure-mass Schur
+    approximation; the outer saddle system is assembled on that
+    hierarchy's finest mesh.
     """
     if solver in HIERARCHY_CYCLES:
         h = build_hierarchy(problem, refinements, solver, n_V=n_V, nu_p=nu_p,
                             nu_h=nu_h)
-        return h.levels[0].system, h
+        return h.system, h
     if solver in ("fbf-hmg", "fbf-phmg"):
         cycle = "hmg" if solver == "fbf-hmg" else "phmg-direct"
         inner = build_hierarchy(problem, refinements, cycle, monolithic=False,

@@ -110,9 +110,11 @@ def build_p_prolongation(low, high):
                          high.components)
 
 
-def build_monolithic_transfer(P_vel, P_pres):
-    """Block-diagonal arrangement matching [velocity; pressure] ordering."""
-    return sp.block_diag([P_vel, P_pres], format="csr")
+def build_monolithic_transfer(*blocks):
+    """Block-diagonal arrangement of one transfer per space, in the order of
+    the level's unknowns; a velocity-only level has one block, returned
+    with the same CSR arrays."""
+    return sp.block_diag(blocks, format="csr")
 
 
 def filter_dirichlet(P, fine_dirichlet, coarse_dirichlet):

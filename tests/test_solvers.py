@@ -11,7 +11,8 @@ from dense_oracles import (dense_asm, dense_cycle_matrix, dense_fbf,
                            probe_columns, reference_vcycle)
 
 from stokesmg import solvers
-from stokesmg.assembly import assemble_pressure_mass, assemble_stokes
+from stokesmg.assembly import (SaddleSystem, assemble_pressure_mass,
+                               assemble_stokes)
 from stokesmg.linalg import CHEBYSHEV_UPPER
 from stokesmg.problems import (backward_facing_step, lid_driven_cavity,
                                manufactured)
@@ -92,7 +93,7 @@ class TestBuildHmg:
         prob = lid_driven_cavity(0, 2, base_n=48)
         h = build_hierarchy(prob, 0, "hmg")
         assert len(h.levels) == 1 and h.n > 20_000
-        system = h.levels[0].system
+        system = h.system
         c = system.pressure_nullvector()
         r = system.b - system.K @ vcycle(h, system.b)
         r -= c * (c @ r)
@@ -214,13 +215,14 @@ class TestVelocityHierarchy:
         system, pc = build_solver(lid_driven_cavity(1, 3), 1, solver)
         inner = pc.inner
         for level in inner.levels:
-            assert level.space.components == 1
-            assert level.n == level.space.num_scalar_dofs
-            assert level.family is None and level.system is None
+            space, = level.spaces
+            assert space.components == 1
+            assert level.n == space.num_scalar_dofs
+            assert level.family is None
         top = inner.levels[0]
         assert 2 * top.n == system.n_u
         assert np.array_equal(
-            top.dirichlet_dofs, top.space.boundary_scalar_dofs(
+            top.dirichlet_dofs, top.spaces[0].boundary_scalar_dofs(
                 markers={1, 2, 3, 4}))
         assert np.array_equal(
             system.dirichlet_dofs,
@@ -235,6 +237,19 @@ class TestVelocityHierarchy:
         prob = lid_driven_cavity(1, 2)
         with pytest.raises(ValueError, match="cycle"):
             build_hierarchy(prob, 1, "wmg", monolithic=False)
+
+
+@pytest.mark.parametrize("solver", ["phmg-direct", "fbf-phmg"])
+def test_hierarchy_keeps_only_the_finest_saddle_system(solver):
+    system, pc = build_solver(lid_driven_cavity(1, 3), 1, solver)
+    h = pc if isinstance(pc, MGHierarchy) else pc.inner
+    assert h.system is (system if h is pc else None)
+    if h is pc:
+        assert h.levels[0].spaces == (system.velocity_space,
+                                      system.pressure_space)
+    for level in h.levels:
+        assert not any(isinstance(value, SaddleSystem)
+                       for value in vars(level).values())
 
 
 class TestColumnBlocks:
@@ -295,7 +310,7 @@ class TestVcycleBasics:
     def test_single_level_is_direct_solve(self):
         prob = poiseuille_problem(n=2)
         h = build_hierarchy(prob, 0, "hmg")
-        system = h.levels[0].system
+        system = h.system
         x = vcycle(h, system.b)
         assert np.linalg.norm(system.K @ x - system.b) <= 1e-10 * np.linalg.norm(
             system.b)
@@ -303,7 +318,7 @@ class TestVcycleBasics:
     def test_single_level_enclosed_flow(self):
         prob = cavity_problem(n=2)
         h = build_hierarchy(prob, 0, "hmg")
-        system = h.levels[0].system
+        system = h.system
         x = vcycle(h, system.b)
         r = system.b - system.K @ x
         assert np.linalg.norm(r) <= 1e-10 * max(np.linalg.norm(system.b), 1.0)
@@ -538,7 +553,7 @@ class TestStationaryContraction:
     def test_two_level_cavity_contracts(self):
         prob = cavity_problem(n=2)
         h = build_hierarchy(prob, 1, "hmg")
-        system = h.levels[0].system
+        system = h.system
         K = system.K
         c = system.pressure_nullvector()
         free = np.setdiff1d(np.arange(system.n),

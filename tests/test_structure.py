@@ -51,10 +51,8 @@ def structure_digest(hierarchy):
         add(mesh.edges, mesh.cell_edges,
             np.array(sorted(mesh.boundary_edge_markers.items()),
                      dtype=np.int64).reshape(-1, 2))
-        spaces = ([level.system.velocity_space, level.system.pressure_space]
-                  if level.system is not None else [level.space])
         markers = sorted(set(mesh.boundary_edge_markers.values()))
-        for space in spaces:
+        for space in level.spaces:
             add(space.cell_scalar_dofs)
             add(*(space.boundary_scalar_dofs(markers={m}) for m in markers))
         add(level.dirichlet_dofs, level.K.indptr, level.K.indices)

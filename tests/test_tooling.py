@@ -1,4 +1,5 @@
-"""The tools under tools/ and the package's exported names."""
+"""The tools under tools/, the benchmark's tracer on the FBF path, and the
+package's exported names."""
 
 import glob
 import importlib
@@ -10,15 +11,15 @@ import stokesmg
 from stokesmg import relaxation, solvers
 from stokesmg.bench import read_sweep_config
 from stokesmg.mesh import save_mesh
-from stokesmg.problems import DATA_DIR
+from stokesmg.problems import DATA_DIR, lid_driven_cavity
 
-TOOLS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
-def load_tool(name):
+def load_tool(name, directory=TOOLS):
     spec = importlib.util.spec_from_file_location(
-        name, os.path.join(TOOLS, f"{name}.py"))
+        name, os.path.join(directory, f"{name}.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -43,6 +44,29 @@ def test_setup_peaks_reports_every_level_and_restores_solvers(capsys):
                 "| build_solver |", "| solve_stokes |"):
         assert row in out
     assert solvers.factor_patches is relaxation.factor_patches
+
+
+def test_tracer_spans_every_level_of_the_fbf_path():
+    # the benchmark's per-layer metrics map spans to levels by dimension;
+    # the FBF workloads build velocity-only levels, which the tiny
+    # benchmark self-test (monolithic hMG) never traces
+    tr = load_tool("tracer", os.path.join(ROOT, "perfbench"))
+    bound = [(owner, attr, getattr(owner, attr))
+             for owner, attr, _, _ in tr.WRAPPED]
+    bound.append((solvers, "fgmres", solvers.fgmres))
+    with tr.Tracer() as tracer:
+        _, pc = solvers.build_solver(lid_driven_cavity(1, 3), 1, "fbf-phmg")
+    spans = {(s[tr.NAME], s[tr.N]) for s in tracer.spans}
+    levels = pc.inner.levels
+    assert len(levels) == 3
+    for level in levels[:-1]:
+        for name in ("assembly.operator", "relaxation.patches",
+                     "relaxation.factor", "linalg.eig", "transfer.build"):
+            assert (name, level.n) in spans, (name, level.n)
+    assert ("assembly.operator", levels[-1].n) in spans
+    assert ("linalg.coarse_factor", levels[-1].n) in spans
+    assert any(name == "solvers.schur_factor" for name, _ in spans)
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in bound)
 
 
 def test_exported_names_resolve():

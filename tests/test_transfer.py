@@ -259,6 +259,21 @@ class TestMonolithicTransfer:
         assert np.allclose(out[: fv.num_dofs], Pv @ xu)
         assert np.allclose(out[fv.num_dofs:], Pp @ xp)
 
+    def test_one_block_keeps_its_csr_arrays(self):
+        # a velocity-only level's transfer is its one scalar block
+        mesh = two_cell_square()
+        fine = build_space(refine_uniform(mesh), 3, "continuous")
+        high = build_space(mesh, 3, "continuous")
+        for block in (build_h_prolongation(build_space(mesh, 3, "continuous"),
+                                           fine),
+                      build_p_prolongation(build_space(mesh, 2, "continuous"),
+                                           high),
+                      sp.identity(high.num_dofs, format="csr")):
+            P = build_monolithic_transfer(block)
+            assert P.format == "csr" and P.shape == block.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(P, attr), getattr(block, attr))
+
 
 class TestGalerkinConsistency:
     @pytest.mark.parametrize("family,fine_kind", [("th", "uniform")])
