@@ -94,26 +94,37 @@ SHARE_TOL = 1e-14
 #: tie, only loses sharing, since every merge is still checked entrywise.
 KEY_GRID = 1e-9
 
-# Chunk bounds of the patch-matrix gather: patch rows per chunk, and entries
-# of the int32 (patch, DoF) -> position table.
-GATHER_ROWS = 4096
+#: Chunk bounds of the patch-matrix gather, which the class search works
+#: through one chunk at a time: patch rows per chunk (one patch where m is
+#: larger), and entries of the int32 (patch, DoF) -> local column table.
+#: A chunk holds its matrices, at most 8 m GATHER_ROWS bytes, and its row
+#: gather, about 32 bytes per stored entry, so the search holds about
+#: GATHER_ROWS (8 m + 32 nnz / n) bytes beyond its class matrices: less
+#: than the symmetry check's transposed K (12 nnz bytes) for GATHER_ROWS
+#: below about 2560 on ldc-th4-phmg's finest level (m up to 141, 59 entries
+#: per row) and 5500 on ldc-sv4-phmg's (362, 52). At 1536 it holds 0.57
+#: and 0.28 of K there (0.80 and 0.36 at 2048, no faster: 63 and 270 ms
+#: against 63 and 275, interleaved medians of 20, 2-core host, BLAS at 1
+#: thread). The table, at most 4 GATHER_TABLE bytes, binds only where n
+#: exceeds GATHER_TABLE m / GATHER_ROWS, on no benchmark level.
+GATHER_ROWS = 1536
 GATHER_TABLE = 1 << 20
 
 #: Bytes of patch inverses per chunk, the unit of parallel work: 13 chunks
 #: on the finest SV k4 level (12 MB of shared inverses), few enough that
-#: the per-chunk overhead stays small. Also the most patch matrices
-#: gathered at once, and the pool boundary: a level that stores at least
-#: this much runs on the pool (see `_run`), so changing it also moves
-#: levels between the pool and the calling thread. A pooled sweep (2-core
-#: host, BLAS at 1 thread, interleaved medians of 40) took 0.52-0.70 of the
-#: serial time on the bfs sv4 and th7 r1 finest levels (290-355 MB stored)
-#: and 1.29-1.89 of it on the TH k4 finest (ldc-th4-phmg, 1.4 MB), which
-#: stays serial. The cut at one chunk is not shown to pay: levels of 11-38
-#: MB lost or swung on the pool. In whole solves against a copy without
-#: the pool (medians of 6 alternating pairs), ldc-sv4-phmg, whose only
-#: pooled level is the SV k4 finest (11.6 MB), took 1.12 of the serial
-#: time, and phmg-direct on bfs sv4 and th7 r1 took 0.72-0.75 of it.
-#: Moving the cut waits for bfs workloads in the benchmark.
+#: the per-chunk overhead stays small. Also the pool boundary: a level
+#: that stores at least this much runs on the pool (see `_run`), so
+#: changing it also moves levels between the pool and the calling thread.
+#: A pooled sweep (2-core host, BLAS at 1 thread, interleaved medians of
+#: 40) took 0.52-0.70 of the serial time on the bfs sv4 and th7 r1 finest
+#: levels (290-355 MB stored) and 1.29-1.89 of it on the TH k4 finest
+#: (ldc-th4-phmg, 1.4 MB), which stays serial. The cut at one chunk is not
+#: shown to pay: levels of 11-38 MB lost or swung on the pool. In whole
+#: solves against a copy without the pool (medians of 6 alternating
+#: pairs), ldc-sv4-phmg, whose only pooled level is the SV k4 finest (11.6
+#: MB), took 1.12 of the serial time, and phmg-direct on bfs sv4 and th7
+#: r1 took 0.72-0.75 of it. Moving the cut waits for bfs workloads in the
+#: benchmark.
 CHUNK_BYTES = 8 << 20
 
 _pool = None
@@ -344,32 +355,40 @@ def _ldl_invert(M, lwork):
 
 
 def _gather(K, I):
-    """Dense patch matrices K[idx][:, idx] for the rows idx of I, (p, m, m).
+    """Dense patch matrices K[idx][:, idx] for the rows idx of I, in order,
+    as (q, m, m) pieces of the q consecutive rows of one chunk.
 
-    Works through chunks of patches: one row gather from the CSR operator,
-    then each entry's column is looked up in a flat (patch, DoF) -> local
-    position table, so no per-patch sparse indexing is needed.
+    Works through chunks of patches (see GATHER_ROWS): one row gather from
+    the CSR operator, then each entry's column is looked up in a flat
+    (patch, DoF) -> local column table, so no per-patch sparse indexing
+    is needed. Every piece is a view of one buffer that the next piece
+    overwrites, so a caller keeps what it needs of a piece by copying it.
     """
     p, m = I.shape
     n = K.shape[0]
-    X = np.zeros((p, m, m))
     chunk = max(1, min(p, GATHER_ROWS // m, GATHER_TABLE // n))
     local = np.full(chunk * n, -1, dtype=np.int32)
+    # the last entry of flat takes the row entries outside their patch
+    flat = np.zeros(chunk * m * m + 1)
+    X = flat[:-1].reshape(chunk, m, m)
     for start in range(0, p, chunk):
-        idx = I[start:start + chunk]
-        q = len(idx)
-        table = np.repeat(np.arange(q) * n, m)  # each row's patch table
-        rows = K[idx.ravel()]
+        idx = I[start:start + chunk].ravel()
+        q = len(idx) // m
+        # each row's patch table in local: (patch, DoF) -> local column
+        table = np.repeat(np.arange(0, q * n, n, dtype=np.int32), m)
+        local[table + idx] = np.tile(np.arange(m, dtype=np.int32), q)
+        rows = K[idx]
         counts = np.diff(rows.indptr)
-        local[table + idx.ravel()] = np.tile(np.arange(m), q)
         cols = local[np.repeat(table, counts) + rows.indices]
-        local[table + idx.ravel()] = -1
-        keep = cols >= 0
-        # each entry's flat position in X[start:start + q]: row * m + col
-        X[start:start + q].reshape(-1)[
-            np.repeat(np.arange(0, q * m * m, m), counts)[keep]
-            + cols[keep]] = rows.data[keep]
-    return X
+        local[table + idx] = -1
+        # each entry's flat position in X[:q]: row * m + col
+        position = np.repeat(np.arange(0, q * m * m, m), counts)
+        position += cols
+        position[cols < 0] = len(flat) - 1
+        flat[position] = rows.data
+        del rows, counts, cols, position  # the caller's work holds only X
+        yield X[:q]
+        X[:q] = 0.0
 
 
 def factor_patches(K, patches):
@@ -379,11 +398,12 @@ def factor_patches(K, patches):
     must match K^T's to SYMMETRY_TOL relative to its largest entry;
     otherwise a ValueError is raised. The check compares K's stored values
     with those of K^T's CSR form in place, so it holds one transposed copy
-    of K at a time. Returns a new PatchSet holding
-    `blocks`, where patches that repeat a matrix and its weights share one
-    inverse (see `_chunks`). A singular patch matrix raises an error naming
-    the offending vertex, the first in (size, patch) order (a sign the
-    decomposition kept constrained DoFs it should have excluded).
+    of K at a time; the class search that follows holds one gather chunk
+    beyond the matrices it keeps (see GATHER_ROWS). Returns a new PatchSet
+    holding `blocks`, where patches that repeat a matrix and its weights
+    share one inverse (see `_chunks`). A singular patch matrix raises an
+    error naming the offending vertex, the first in (size, patch) order (a
+    sign the decomposition kept constrained DoFs it should have excluded).
     """
     K = K.tocsr()
     K.sum_duplicates()
@@ -492,9 +512,10 @@ def _classes(K, I, weights, scale):
     the roundoff of both products, so the fingerprint never rejects a true
     match, and the entrywise check admits no false one.
 
-    The matrices are gathered in patch order and in pieces of at most
-    CHUNK_BYTES, keeping only the representatives', which become the
-    stored inverses, so the search holds at most one piece beyond them.
+    The matrices are gathered in patch order, one `_gather` chunk (at most
+    GATHER_ROWS patch rows) at a time, keeping copies of only the
+    representatives', which become the stored inverses, so the search
+    holds one chunk's piece and row gather beyond them (see GATHER_ROWS).
     Gathering on the pool's workers was faster (SV k4 finest level, one
     inverse per patch: 0.26 s against 0.38 s) but the arrays it left in
     their malloc heaps raised the peak RSS by 20-100 MB.
@@ -507,10 +528,9 @@ def _classes(K, I, weights, scale):
     window = h.sum() * g.sum() * (tol + 4 * m * np.finfo(float).eps * scale)
     keys = np.empty(p)
     classes, matrices = [], {}
-    step = max(1, CHUNK_BYTES // (8 * m * m))
-    for start in range(0, p, step):
-        X = _gather(K, I[start:start + step])
-        for j, x, key in zip(range(start, start + len(X)), X, (X @ g) @ h):
+    j = 0
+    for X in _gather(K, I):
+        for x, key in zip(X, (X @ g) @ h):
             near = np.flatnonzero(np.abs(keys[:len(classes)] - key) <= window)
             c = next((c for c in near
                       if np.array_equal(weights[classes[c][0]], weights[j])
@@ -520,6 +540,7 @@ def _classes(K, I, weights, scale):
                 classes.append([])
                 matrices[c] = x.copy()
             classes[c].append(j)
+            j += 1
     return classes, matrices
 
 

@@ -31,7 +31,7 @@ agree on interior rows here because the bilinear forms carry no
 stabilization terms.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -375,8 +375,11 @@ def build_hierarchy(problem, refinements, cycle, monolithic=True, n_V=None,
     if min(n_V, nu_p, nu_h) < 1:
         raise ValueError("cycle parameters must be >= 1")
     specs = level_specs(problem, refinements, cycle, monolithic)
+    # only the finest level's load vector is read (`system`)
+    unforced = replace(problem, forcing=None)
     levels, systems = zip(*[
-        _build_level(problem, spec, i == len(specs) - 1, nu_p, nu_h)
+        _build_level(unforced if i else problem, spec, i == len(specs) - 1,
+                     nu_p, nu_h)
         for i, spec in enumerate(specs)
     ])
     _connect_levels(levels)

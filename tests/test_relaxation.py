@@ -556,43 +556,69 @@ def test_level_storing_less_than_a_chunk_stays_off_the_pool(monkeypatch):
     asm_apply(factored, R)
 
 
-@pytest.fixture(scope="module")
-def sv4_finest():
-    """Operator and Vanka patches of the SV k4 cavity finest level at two
-    refinements (ldc-sv4-phmg's): 801 patches of up to 362 DoFs."""
-    prob = lid_driven_cavity(2, 4, family="sv")
+def cavity_finest(family):
+    """Operator and Vanka patches of the k4 cavity finest level at two
+    refinements."""
+    prob = lid_driven_cavity(2, 4, family=family)
     system = assemble_stokes(prob, mesh_hierarchy(prob)[-1])
     return system.K, build_vanka_star_patches(
         system.velocity_space.mesh, system.velocity_space,
         system.pressure_space, system.dirichlet_dofs)
 
 
+@pytest.fixture(scope="module")
+def sv4_finest():
+    """ldc-sv4-phmg's finest level: 801 patches of up to 362 DoFs."""
+    return cavity_finest("sv")
+
+
+@pytest.fixture(scope="module")
+def th4_finest():
+    """ldc-th4-phmg's finest level: 289 patches of up to 141 DoFs."""
+    return cavity_finest("th")
+
+
+def factor_transient(K, patches):
+    """Traced bytes that factoring holds at its peak beyond what it returns,
+    relative to K's bytes."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        factored = factor_patches(K, patches)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - start - factored.nbytes) / (
+        K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
 class TestFactorMemory:
+    # Beyond what it returns, factoring holds one transposed copy of K for
+    # the symmetry check, with a one-byte mask per stored entry (under 1/12
+    # of K's bytes) while it compares patterns; then the class search,
+    # which holds one gather chunk, bounded by GATHER_ROWS to less than
+    # that copy. So the transient stays within 1 + 1/12 of K, and 1.25
+    # leaves room for the per-DoF arrays.
     def test_transient_within_five_quarters_of_the_operator(self,
                                                             sv4_finest):
-        # Beyond what it returns, factoring holds one transposed copy of K
-        # for the symmetry check, then at most one CHUNK_BYTES piece of
-        # gathered patch matrices: 0.98 times K's bytes, against 1.38 when
-        # the class search also held permuted class matrices
-        K, patches = sv4_finest
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            factored = factor_patches(K, patches)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start - factored.nbytes <= 1.25 * (
-            K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+        # 0.51 of K; 0.98 when the search gathered 8 MiB pieces, and 1.38
+        # when it also held permuted class matrices
+        assert factor_transient(*sv4_finest) <= 1.25
+
+    def test_th4_transient_within_five_quarters_of_the_operator(
+            self, th4_finest):
+        # 0.82 of K; 3.6 when the search gathered 8 MiB pieces, whose row
+        # gathers outgrew K (7.7 MB) here
+        assert factor_transient(*th4_finest) <= 1.25
 
     def test_gather_piece_size_changes_no_class(self, sv4_finest,
                                                 monkeypatch):
-        # At 64 kB the class search gathers one matrix of these patches
-        # (about 1 MB each) at a time
+        # At one patch row per chunk the class search gathers one patch
+        # matrix (about 1 MB here) at a time
         K, patches = sv4_finest
         r = np.random.default_rng(89).standard_normal(K.shape[0])
         default = factor_patches(K, patches)
-        monkeypatch.setattr(relaxation, "CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(relaxation, "GATHER_ROWS", 1)
         small = factor_patches(K, patches)
         assert small.inverses == default.inverses == 35
         assert np.array_equal(asm_apply(small, r), asm_apply(default, r))

@@ -43,6 +43,15 @@ def test_setup_peaks_reports_every_level_and_restores_solvers(capsys):
                 "| outer | assembly |", "| outer | schur factor |",
                 "| build_solver |", "| solve_stokes |"):
         assert row in out
+    # the last line is the ratio of the two phases' traced-at-peak MB,
+    # which the table rounds to 0.1 MB
+    setup, solve = [float(line.split("|")[4]) for line in out.splitlines()
+                    if line.startswith(("| build_solver |",
+                                        "| solve_stokes |"))]
+    label, ratio = out.splitlines()[-1].split(": ")
+    assert label == "setup / solve traced peak"
+    assert ((setup - 0.05) / (solve + 0.05) - 5e-4 <= float(ratio)
+            <= (setup + 0.05) / (solve - 0.05) + 5e-4)
     assert solvers.factor_patches is relaxation.factor_patches
 
 

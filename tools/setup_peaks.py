@@ -15,8 +15,11 @@ saddle system, which belongs to no level) the table gives each kind of
 call's count, its largest peak above the traced bytes at its start, and
 the bytes it left behind. Two totals follow: ``build_solver`` and
 ``solve_stokes``, each with its peak above its start, the bytes it left
-behind, and the traced bytes at its peak. Figures are MB (10^6 bytes) of
-allocations that ``tracemalloc`` sees, which are NumPy's and Python's.
+behind, and the traced bytes at its peak. The last line divides the
+traced bytes at ``build_solver``'s peak by those at ``solve_stokes``'s: at
+most 1 when setup never holds more than the solve. Figures are MB (10^6
+bytes) of allocations that ``tracemalloc`` sees, which are NumPy's and
+Python's.
 """
 
 import sys
@@ -153,6 +156,9 @@ def main(argv=None):
     for name, (peak, kept, top) in totals.items():
         print(f"| {name} | {peak * MB:.1f} | {kept * MB:.1f} "
               f"| {top * MB:.1f} |")
+    print()
+    print(f"setup / solve traced peak: "
+          f"{totals['build_solver'][2] / totals['solve_stokes'][2]:.3f}")
     return 0
 
 
