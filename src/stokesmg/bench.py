@@ -12,9 +12,9 @@ glue ``other``.
 
 Each report also carries ``smoother_bytes``, the bytes of every patch
 smoother in the preconditioner's multigrid hierarchy (``PatchSet.nbytes``:
-each class's member index lists and shared patch inverse, and the scatter
-index, summed over the levels of ``MGHierarchy.level_summary``; the
-builders' per-patch index and order arrays are not counted). Tables print
+each class's shared patch inverse and the scatter index that holds every
+member index list, summed over the levels of ``MGHierarchy.level_summary``;
+the builders' per-patch index lists and DoF rank are not counted). Tables print
 it as the column after the fixed ``COLUMNS``, before the kernel times,
 whenever a report carries it.
 

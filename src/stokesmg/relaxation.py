@@ -14,9 +14,10 @@ to one.
 All patches of a level come from one pass over (cell, local vertex, local
 node) triples: a static per-element mask says which nodes lie in the star
 of each local vertex, and one sort of the (vertex, DoF) pairs groups them
-into sorted index lists. A second sort gives each list its canonical
-order: by field, component and the node's offset from the vertex, so that
-patches that are translates of each other list their DoFs alike.
+into sorted index lists. One ranking of the level's DoFs gives each list
+its canonical order: by field, component and the node's offset from the
+vertex, so that patches that are translates of each other list their
+DoFs alike.
 
 The operator must be symmetric, as every operator assembled here is:
 each patch matrix is inverted through its Bunch-Kaufman LDL^T
@@ -40,7 +41,7 @@ the layout of one inverse per patch. A sweep acts on an (n, c) block of c
 columns (c = 1 for a vector): one product X @ r[I].reshape(q, m, k c) per
 chunk serves all members and columns, and one scatter-add per column sums
 the chunk contributions in chunk order, through an index built once at
-factoring, with no per-patch Python work.
+factoring, of which every `I` is a view, with no per-patch Python work.
 
 Chunks are the unit of parallel work. A level whose stored inverses, the
 X of all its chunks, fill at least CHUNK_BYTES inverts its chunks, and
@@ -179,47 +180,55 @@ def _run(fn, chunks):
 
 
 class PatchSet:
-    """Per-vertex sorted DoF index lists and their canonical order, plus,
+    """Per-vertex sorted DoF index lists and the level's DoF ranking, plus,
     once factored, the shared weighted patch inverses in chunks (`blocks`)
-    and the sweep's scatter index (`scatter`), the rows of every `I` in
-    chunk order.
+    and the sweep's scatter index (`scatter`).
 
-    `order` holds one int array per patch: indices[i][order[i]] lists patch
-    i's DoFs in canonical order (see `_patch_set`), the order in which
-    `factor_patches` compares, inverts and stores patch matrices. The
-    builders set it; None, as in a PatchSet built by hand, means the
-    sorted order.
+    `rank`, a permutation of range(n), sorts a patch's DoFs into canonical
+    order (see `_patch_set`), in which `factor_patches` compares, inverts
+    and stores patch matrices. The builders set it; None, as in a PatchSet
+    built by hand, means the identity ranking, the sorted order.
 
     Each block is an (I, X) pair for q classes of patches with m DoFs and
-    k members each: I (q, m, k) holds the members' index lists in
-    canonical order, one member per column, and X (q, m, m) the one
-    weighted inverse W inv(K(i)) that the k members of a class share, in
-    that order.
+    k members each: I (q, m, k), a view of `scatter` in chunk order, holds
+    the members' index lists in canonical order, one member per column, and
+    X (q, m, m) the weighted inverse W inv(K(i)) they share, in that order.
     """
 
-    def __init__(self, n, vertices, indices, blocks=None, order=None):
+    def __init__(self, n, vertices, indices, blocks=None, rank=None):
         self.n = n
         self.vertices = vertices
         self.indices = indices
-        self.order = order
-        self.blocks = blocks
-        self.scatter = None if blocks is None else np.concatenate(
-            [np.empty(0, dtype=np.intp)] + [I.ravel() for I, _ in blocks])
+        self.rank = np.arange(n) if rank is None else np.asarray(rank)
+        self.blocks = self.scatter = None
+        if blocks is not None:
+            self.scatter = np.concatenate(
+                [np.empty(0, dtype=np.intp)] + [I.ravel() for I, _ in blocks])
+            views = np.split(self.scatter,
+                             np.cumsum([I.size for I, _ in blocks])[:-1])
+            self.blocks = [(view.reshape(I.shape), X)
+                           for view, (I, X) in zip(views, blocks)]
 
     def __len__(self):
         return len(self.indices)
 
+    def _factored(self):
+        if self.blocks is None:
+            raise ValueError("patches must be factored first")
+        return self.blocks
+
     @property
     def inverses(self):
         """Number of distinct patch inverses stored."""
-        return sum(len(X) for _, X in self.blocks)
+        return sum(len(X) for _, X in self._factored())
 
     @property
     def nbytes(self):
-        """Bytes that factoring stores for the sweep: every I and X, and the
-        scatter index. The builders' `indices` and `order`, also kept, are
-        not counted (2.21 MB beside 14.33 MB on ldc-sv4-phmg's finest)."""
-        return (sum(I.nbytes + X.nbytes for I, X in self.blocks)
+        """Bytes that factoring stores for the sweep: every X and the
+        scatter index, of which every I is a view. The builders' `indices`
+        and `rank`, also kept, are not counted (1.4 MB beside 13.2 MB on
+        ldc-sv4-phmg's finest)."""
+        return (sum(X.nbytes for _, X in self._factored())
                 + self.scatter.nbytes)
 
 
@@ -254,17 +263,17 @@ def _vertex_dof_pairs(mesh, space, closed, offset=0):
 
 
 def _patch_set(mesh, fields, dirichlet_dofs):
-    """One sorted, duplicate-free index list per vertex, and its canonical
-    order, over the DoFs of `fields`, (space, closed) pairs numbered one
-    after another, without `dirichlet_dofs`; vertices left empty get no
-    patch.
+    """One sorted, duplicate-free index list per vertex, and the DoF rank
+    of their canonical order, over the DoFs of `fields`, (space, closed)
+    pairs numbered one after another, without `dirichlet_dofs`; vertices
+    left empty get no patch.
 
-    The canonical order sorts a patch's DoFs by field, component, the
-    node's offset from the patch vertex and, in a discontinuous space, the
-    offset of the node's cell centroid (nodes of several cells share a
-    point), with every position rounded to a grid of KEY_GRID times the
-    mesh's extent; ties keep sorted order. Patches that are translates of
-    each other list their DoFs alike in this order.
+    The rank sorts a patch's DoFs by field, component, the node's offset
+    from the patch vertex and, in a discontinuous space, the offset of the
+    node's cell centroid (nodes of several cells share a point), with every
+    position rounded to a grid of KEY_GRID times the mesh's extent; ties
+    keep DoF order. Patches that are translates of each other list their
+    DoFs alike in this order.
     """
     starts = np.cumsum([0] + [space.num_dofs for space, _ in fields])
     n = int(starts[-1])
@@ -298,14 +307,10 @@ def _patch_set(mesh, fields, dirichlet_dofs):
         rank[start:start + space.num_dofs] = (
             start + node[:, None]
             + len(node) * np.arange(space.components)).ravel()
-    canonical = np.argsort(vertices * n + rank[dofs])
 
-    owners, first, counts = np.unique(vertices, return_index=True,
-                                      return_counts=True)
-    local = canonical - np.repeat(first, counts)
+    owners, first = np.unique(vertices, return_index=True)
     indices = np.split(dofs, first[1:]) if len(dofs) else []
-    order = np.split(local, first[1:]) if len(dofs) else []
-    return PatchSet(n, owners.tolist(), indices, order=order)
+    return PatchSet(n, owners.tolist(), indices, rank=rank)
 
 
 def build_vanka_star_patches(mesh, velocity_space, pressure_space,
@@ -458,7 +463,7 @@ def factor_patches(K, patches):
             f"singular patch matrix at vertex {patches.vertices[i]}: {exc}"
         ) from exc
     return PatchSet(patches.n, list(patches.vertices),
-                    list(patches.indices), blocks, patches.order)
+                    list(patches.indices), blocks, patches.rank)
 
 
 def _chunks(K, patches, sizes, multiplicity, scale):
@@ -469,17 +474,16 @@ def _chunks(K, patches, sizes, multiplicity, scale):
     fewest chunks of at most CHUNK_BYTES of X (one class per chunk where a
     single X is larger): X (q, m, m) holds the representatives' matrices
     and I (q, m, k) the members' index lists, column j the j-th member in
-    patch order, both in canonical DoF order. Each matrix leaves the dict
-    of `_classes` as its chunk takes it, so the matrices are held once. X
-    comes last, as in `blocks`, because `_run` reads it there.
+    patch order, both in canonical DoF order (one argsort of the ranks, all
+    distinct, per size). Each matrix leaves the dict of `_classes` as its
+    chunk takes it, so the matrices are held once. X comes last, as in
+    `blocks`, because `_run` reads it there.
     """
     chunks = []
     for m in np.unique(sizes):
         members = np.flatnonzero(sizes == m)
         I = np.stack([patches.indices[i] for i in members])
-        if patches.order is not None:
-            I = np.take_along_axis(
-                I, np.stack([patches.order[i] for i in members]), axis=1)
+        I = np.take_along_axis(I, np.argsort(patches.rank[I], axis=1), axis=1)
         classes, matrices = _classes(K, I, multiplicity[I], scale)
         count = np.array(list(map(len, classes)))
         for k in np.unique(count):
@@ -488,7 +492,7 @@ def _chunks(K, patches, sizes, multiplicity, scale):
             for part in np.array_split(alike, pieces):
                 held = np.array([classes[c] for c in part])
                 chunks.append((members[held[:, 0]],
-                               I[held].transpose(0, 2, 1).copy(),
+                               I[held].transpose(0, 2, 1),
                                np.stack([matrices.pop(c) for c in part])))
     return chunks
 
@@ -553,9 +557,10 @@ def asm_apply(patches, r):
     columns, and one scatter-add per column sums the chunk contributions
     in chunk order through `patches.scatter`.
     """
-    if patches.blocks is None:
-        raise ValueError("patches must be factored first")
-    blocks = patches.blocks
+    blocks = patches._factored()
+    if r.shape[:1] != (patches.n,):
+        raise ValueError(f"r has shape {r.shape}; the patches need "
+                         f"{patches.n} rows")
     if not blocks:
         return np.zeros_like(r)
     R = r.reshape(r.shape[0], -1)

@@ -213,9 +213,9 @@ class MGHierarchy:
         smoother bytes) per level, finest first.
 
         The DoFs of a velocity-only level are those of its scalar space.
-        Smoother bytes are `PatchSet.nbytes`, the level's blocks and
-        scatter index without the builders' per-patch `indices` and
-        `order`; the coarsest level, solved directly, has no patches and
+        Smoother bytes are `PatchSet.nbytes`, the level's inverses and
+        scatter index without the builders' per-patch `indices` and DoF
+        `rank`; the coarsest level, solved directly, has no patches and
         counts 0 for the last three fields.
         """
         return [

@@ -378,6 +378,21 @@ class TestAsmApply:
         with pytest.raises(ValueError, match="factored"):
             asm_apply(patches, np.zeros(vel.num_dofs))
 
+    @pytest.mark.parametrize("name", ["inverses", "nbytes"])
+    def test_unfactored_properties_raise(self, name):
+        with pytest.raises(ValueError, match="factored"):
+            getattr(PatchSet(3, [0], [np.arange(3)]), name)
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_residual_of_another_length_raises(self, rows):
+        # a longer r would come back with zeros past n, a shorter one
+        # would fail inside the sweep's gather
+        factored = factor_patches(sp.eye(3, format="csr"),
+                                  PatchSet(3, [0], [np.arange(3)]))
+        for shape in [(rows,), (rows, 2)]:
+            with pytest.raises(ValueError, match="3 rows"):
+                asm_apply(factored, np.ones(shape))
+
 
 def vanka_level(family):
     """Operator and Vanka patches of a small TH k3 or SV k4 level."""
@@ -655,6 +670,49 @@ def classes(factored):
             for members, x in zip(I, X)]
 
 
+def canonical_lists(patches):
+    """Every patch's index list in canonical order, sorted by DoF rank."""
+    return [idx[np.argsort(patches.rank[idx])] for idx in patches.indices]
+
+
+def star_level():
+    """Operator and scalar star patches of the P3 Laplacian on the uniform
+    refinement of a 2 x 2 grid, boundary eliminated."""
+    mesh = refine_uniform(generate_structured_grid(2))
+    space = build_space(mesh, 3, "continuous")
+    bdofs = space.boundary_scalar_dofs()
+    K, _ = eliminate_dirichlet(assemble_vector_laplacian(space), bdofs, 0.0)
+    return K, build_star_patches(mesh, space, bdofs)
+
+
+LEVELS = pytest.mark.parametrize(
+    "level", [th_cavity_level, sv_cavity_level, star_level],
+    ids=["th", "sv", "star"])
+
+
+class TestIndicesStoredOnce:
+    @LEVELS
+    def test_blocks_are_views_of_the_scatter_index(self, level):
+        K, patches = level()
+        factored = factor_patches(K, patches)
+        assert len(factored.blocks) > 1
+        assert all(np.shares_memory(I, factored.scatter)
+                   for I, _ in factored.blocks)
+        assert factored.nbytes == (sum(X.nbytes for _, X in factored.blocks)
+                                   + factored.scatter.nbytes)
+
+    @LEVELS
+    def test_block_columns_sort_each_patch_by_rank(self, level):
+        K, patches = level()
+        assert np.array_equal(np.sort(patches.rank), np.arange(patches.n))
+        factored = factor_patches(K, patches)
+        assert factored.rank is patches.rank
+        columns = [tuple(column) for members, _ in classes(factored)
+                   for column in members.T]
+        assert sorted(columns) == sorted(
+            tuple(idx) for idx in canonical_lists(patches))
+
+
 class TestSharedInverses:
     @pytest.mark.parametrize("level", [sv_cavity_level, th_cavity_level],
                              ids=["sv", "th"])
@@ -756,8 +814,9 @@ class TestSharedInverses:
                                        minlength=patches.n)
             by_size = np.argsort([len(idx) for idx in patches.indices],
                                  kind="stable")
+            canonical = canonical_lists(patches)
             for i, (members, x) in zip(by_size, held):
-                idx = patches.indices[i][patches.order[i]]
+                idx = canonical[i]
                 assert np.array_equal(members, idx[:, None])
                 own = (np.linalg.inv(level.K[idx][:, idx].toarray())
                        / multiplicity[idx][:, None])
@@ -776,8 +835,7 @@ class TestSharedInverses:
         tol = relaxation.SHARE_TOL * np.abs(dense).max()
         multiplicity = np.bincount(np.concatenate(patches.indices),
                                    minlength=K.shape[0])
-        canonical = [idx[order] for idx, order in
-                     zip(patches.indices, patches.order)]
+        canonical = canonical_lists(patches)
         expected = []
         for j, c in enumerate(canonical):
             for members in expected:
@@ -860,8 +918,8 @@ class TestCanonicalOrder:
         on_grid = lambda x: tuple(np.rint((x - corner) / grid))
         centroids = mesh.vertices[mesh.cells].mean(axis=1)
         starts = [0, spaces[0].num_dofs]
-        for v, idx, order in zip(patches.vertices, patches.indices,
-                                 patches.order):
+        for v, idx in zip(patches.vertices, patches.indices):
+            order = np.argsort(patches.rank[idx])
             assert np.array_equal(np.sort(order), np.arange(len(idx)))
             origin = np.array(on_grid(mesh.vertices[v]))
             keys = []
@@ -879,14 +937,14 @@ class TestCanonicalOrder:
             assert keys == sorted(keys)
 
     def test_hand_built_patches_compare_in_sorted_order(self):
-        # order None is the sorted order: two patches whose matrices agree
-        # only after a permutation keep their own inverses
+        # rank None is the identity ranking, the sorted order: two patches
+        # whose matrices agree only after a permutation keep their own
+        # inverses
         K = sp.block_diag([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])],
                           format="csr")
         patches = PatchSet(4, [0, 1], [np.arange(2), np.arange(2, 4)])
         assert factor_patches(K, patches).inverses == 2
-        reordered = PatchSet(4, [0, 1], patches.indices,
-                             order=[np.arange(2), np.array([1, 0])])
+        reordered = PatchSet(4, [0, 1], patches.indices, rank=[0, 1, 3, 2])
         factored = factor_patches(K, reordered)
         assert factored.inverses == 1
         I, X = factored.blocks[0]

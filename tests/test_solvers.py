@@ -181,7 +181,7 @@ class TestBuildPhmg:
                 continue
             assert row[5] == len(p.indices)
             assert row[6] == sum(X.shape[0] for _, X in p.blocks)
-            assert row[7] == (sum(I.nbytes + X.nbytes for I, X in p.blocks)
+            assert row[7] == (sum(X.nbytes for _, X in p.blocks)
                               + p.scatter.nbytes)
         # the barycentric finest level repeats most of its patches
         assert summary[0][6] < summary[0][5]

@@ -43,6 +43,18 @@ def test_setup_peaks_reports_every_level_and_restores_solvers(capsys):
                 "| outer | assembly |", "| outer | schur factor |",
                 "| build_solver |", "| solve_stokes |"):
         assert row in out
+    # the level table comes first: level_summary()'s kind, degree, DoFs,
+    # patches, inverses and smoother MB, one row per level
+    _, pc = solvers.build_solver(lid_driven_cavity(1, 3), 1, "fbf-phmg")
+    expected = [[f"l{i}", kind, str(k), str(n), str(patches), str(inverses),
+                 f"{stored * 1e-6:.2f}"]
+                for i, (kind, _, k, _, n, patches, inverses, stored)
+                in enumerate(pc.inner.level_summary())]
+    cells = [[cell.strip() for cell in line.split("|")[1:-1]]
+             for line in out.split("\n\n")[0].splitlines()[1:]]
+    assert cells[0] == ["level", "kind", "degree", "DoFs", "patches",
+                        "inverses", "smoother MB"]
+    assert cells[2:] == expected
     # the last line is the ratio of the two phases' traced-at-peak MB,
     # which the table rounds to 0.1 MB
     setup, solve = [float(line.split("|")[4]) for line in out.splitlines()

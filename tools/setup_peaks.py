@@ -7,13 +7,15 @@ Takes the options of ``stokes-bench run``:
 
 (``--out`` and ``--format`` are accepted and ignored: the tables go to
 standard output), builds the solver once under ``tracemalloc`` and solves
-once. Each setup
+once. A level table comes first: each level's kind, degree, DoFs,
+patches, distinct inverses and the MB its smoother stores, from
+``level_summary()``, so stored bytes sit beside traced ones. Each setup
 call that ``stokesmg.solvers`` makes (assembly, patches, factor, the λ̂
 estimate, transfers, the coarse factor, the FBF Schur factor) is wrapped
 where ``solvers`` binds it. Per level (l0 the finest; ``outer`` the FBF
-saddle system, which belongs to no level) the table gives each kind of
-call's count, its largest peak above the traced bytes at its start, and
-the bytes it left behind. Two totals follow: ``build_solver`` and
+saddle system, which belongs to no level) the call table gives each kind
+of call's count, its largest peak above the traced bytes at its start,
+and the bytes it left behind. Two totals follow: ``build_solver`` and
 ``solve_stokes``, each with its peak above its start, the bytes it left
 behind, and the traced bytes at its peak. The last line divides the
 traced bytes at ``build_solver``'s peak by those at ``solve_stokes``'s: at
@@ -81,8 +83,8 @@ class PeakMeter:
 
 
 def run(args):
-    """Build and solve once; returns (setup rows, level dimensions, totals,
-    the solve's report).
+    """Build and solve once; returns (setup rows, the hierarchy's
+    `level_summary()`, totals, the solve's report).
 
     Each row is (label, dimension or None, peak above start, retained).
     """
@@ -116,9 +118,8 @@ def run(args):
         restart=args.restart)
     tracemalloc.stop()
     hierarchy = pc if isinstance(pc, solvers.MGHierarchy) else pc.inner
-    levels = [level.n for level in hierarchy.levels]
     totals = {"build_solver": setup, "solve_stokes": solve}
-    return rows, levels, totals, report
+    return rows, hierarchy.level_summary(), totals, report
 
 
 def table(rows, levels):
@@ -141,10 +142,19 @@ def table(rows, levels):
 def main(argv=None):
     args = bench._build_parser().parse_args(
         ["run"] + list(sys.argv[1:] if argv is None else argv))
-    rows, levels, totals, report = run(args)
+    rows, summary, totals, report = run(args)
+    levels = [row[4] for row in summary]
     print(f"{args.problem} {args.family} k{args.k} r{args.refinements} "
           f"{args.solver}: {levels[0]} DoFs on l0, "
           f"{report.iterations} iterations")
+    print("| level | kind | degree | DoFs | patches | inverses "
+          "| smoother MB |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    for i, (kind, _, k, _, n, patches, inverses, stored) in enumerate(
+            summary):
+        print(f"| l{i} | {kind} | {k} | {n} | {patches} | {inverses} "
+              f"| {stored * MB:.2f} |")
+    print()
     print("| level | call | calls | peak MB | retained MB |")
     print("| --- | --- | --- | --- | --- |")
     for (level, label), (calls, peak, kept) in table(rows, levels):
