@@ -10,13 +10,11 @@ evaluation, ``coarse`` solves, the FBF ``schur`` update, the Krylov
 orthogonalization remainder ``krylov``, and unattributed preconditioner
 glue ``other``.
 
-Each report also carries ``smoother_bytes``, the bytes of every patch
-smoother in the preconditioner's multigrid hierarchy (``PatchSet.nbytes``:
-each class's shared patch inverse and the scatter index that holds every
-member index list, summed over the levels of ``MGHierarchy.level_summary``;
-the builders' per-patch index lists and DoF rank are not counted). Tables print
-it as the column after the fixed ``COLUMNS``, before the kernel times,
-whenever a report carries it.
+Each report also carries ``smoother_bytes``, what the patch smoothers of
+the preconditioner's multigrid hierarchy store (``PatchSet.nbytes`` summed
+over ``MGHierarchy.level_summary``; the builders' per-patch index lists and
+DoF rank are not counted). Tables print it after the fixed ``COLUMNS``,
+before the kernel times, whenever a report carries it.
 
 Reports carry two families of derived metrics:
 
@@ -28,15 +26,22 @@ Reports carry two families of derived metrics:
 
 The CLI entry point is installed as ``stokes-bench``:
 
-    stokes-bench run --problem ldc2d --family th --k 4 --refinements 2 \\
-        --solver phmg-direct [--nv N --nup N --nuh N --rtol R --restart M]
-        [--out PATH --format {csv,markdown} --mesh-dir DIR]
-    stokes-bench sweep --config FILE
+    stokes-bench run --problem ldc2d --family th --k 4 7 --refinements 2 \\
+        --solver hmg phmg-direct [--reference NAME --nv N --nup N --nuh N
+        --rtol R --restart M --out PATH --format {csv,markdown} --mesh-dir DIR]
+    stokes-bench run @FILE
+
+It runs every (k, refinements, solver) point, in that nesting order, one
+solve at a time; ``--reference`` defaults to the first solver. ``@FILE``
+reads flags from an argument file (split on whitespace; a line starting
+with '#' is a comment). Every check of the arguments runs before a solve.
 
 Exit codes: 0 on success, 2 when a solve fails to converge, 1 on errors.
 """
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -108,6 +113,19 @@ def relative_metrics(report, reference):
     )
 
 
+def make_problem(problem, refinements, k, family, mesh_dir=None):
+    """The named problem's instance. Only bfs2d reads a mesh file, from
+    `mesh_dir` when one is given."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}; pick from "
+                         f"{sorted(PROBLEMS)}")
+    if mesh_dir is not None and problem != "bfs2d":
+        raise ValueError(f"problem {problem!r} reads no mesh file, so it "
+                         "takes no mesh directory")
+    extra = {} if mesh_dir is None else {"mesh_dir": mesh_dir}
+    return PROBLEMS[problem](refinements, k, family=family, **extra)
+
+
 def run(problem, family, k, refinements, solver, n_V=None, nu_p=None,
         nu_h=None, rtol=1e-10, restart=30, maxiter=500, mesh_dir=None):
     """Execute one benchmark configuration and return its RunReport.
@@ -116,19 +134,9 @@ def run(problem, family, k, refinements, solver, n_V=None, nu_p=None,
     assembly (including every level's rediscretization and patch
     factorization); the solve phase covers the preconditioned FGMRES run.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}; pick from "
-                         f"{sorted(PROBLEMS)}")
-    if solver not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {solver!r}; pick from "
-                         f"{SOLVER_NAMES}")
-    factory_kwargs = {"mesh_dir": mesh_dir} if (
-        problem == "bfs2d" and mesh_dir) else {}
-
     timer = Timings()
     with timer.scope("setup"):
-        instance = PROBLEMS[problem](refinements, k, family=family,
-                                     **factory_kwargs)
+        instance = make_problem(problem, refinements, k, family, mesh_dir)
         system, pc = build_solver(instance, refinements, solver,
                                   n_V=n_V, nu_p=nu_p, nu_h=nu_h)
     kernel_timer = Timings()
@@ -258,100 +266,6 @@ def _fmt_ratio(v):
     return f"{v:.3f}" if v != "" else ""
 
 
-_REQUIRED_KEYS = {"problem", "family", "k", "refinements", "solvers",
-                  "reference"}
-_OPTIONAL_KEYS = {"rtol", "restart", "nv", "nup", "nuh", "out", "format",
-                  "mesh_dir"}
-
-
-def read_sweep_config(path):
-    """Parse a key = value sweep description.
-
-    Keys: problem, family (single values); k, refinements, solvers
-    (whitespace-separated lists); reference (solver name); optional rtol,
-    restart, nv, nup, nuh, out, format (csv or markdown), mesh_dir. Lines
-    starting with '#' are comments. Unknown and repeated keys, and names of
-    problems, families, solvers or formats that do not exist, raise a
-    ValueError here, before any grid point runs.
-    """
-    raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _REQUIRED_KEYS | _OPTIONAL_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            raw[key] = value.strip()
-    missing = _REQUIRED_KEYS - set(raw)
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-
-    def number(key, convert, default=None, many=False):
-        if key not in raw:
-            return default
-        try:
-            if many:
-                return [convert(v) for v in raw[key].split()]
-            return convert(raw[key])
-        except ValueError:
-            raise ValueError(f"{path}: key {key!r} has a malformed "
-                             f"number: {raw[key]!r}") from None
-
-    config = {
-        "problem": raw["problem"],
-        "family": raw["family"],
-        "k": number("k", int, many=True),
-        "refinements": number("refinements", int, many=True),
-        "solvers": raw["solvers"].split(),
-        "reference": raw["reference"],
-        "rtol": number("rtol", float, 1e-10),
-        "restart": number("restart", int, 30),
-        "n_V": number("nv", int),
-        "nu_p": number("nup", int),
-        "nu_h": number("nuh", int),
-        "out": raw.get("out"),
-        "format": raw.get("format", "markdown"),
-        "mesh_dir": raw.get("mesh_dir"),
-    }
-    if not config["k"] or not config["solvers"] or not config["refinements"]:
-        raise ValueError(f"{path}: empty sweep grid")
-    names = [("problem", config["problem"], PROBLEMS),
-             ("family", config["family"], FAMILIES),
-             ("format", config["format"], FORMATS)]
-    names += [("solver", v, SOLVER_NAMES) for v in config["solvers"]]
-    for what, value, known in names:
-        if value not in known:
-            raise ValueError(f"{path}: unknown {what} {value!r}; pick from "
-                             f"{sorted(known)}")
-    if config["reference"] not in config["solvers"]:
-        raise ValueError(f"{path}: reference solver {config['reference']!r} "
-                         "is not in the solvers list")
-    return config
-
-
-def sweep(config):
-    """Run the full grid of a sweep config sequentially (one solve at a
-    time keeps the timings honest) and return the reports."""
-    reports = []
-    for k in config["k"]:
-        for refinements in config["refinements"]:
-            for solver in config["solvers"]:
-                reports.append(run(
-                    config["problem"], config["family"], k, refinements,
-                    solver, n_V=config["n_V"], nu_p=config["nu_p"],
-                    nu_h=config["nu_h"], rtol=config["rtol"],
-                    restart=config["restart"], mesh_dir=config["mesh_dir"],
-                ))
-    return reports
-
-
 def _emit(table, fmt, out):
     text = table.to_csv() if fmt == "csv" else table.to_markdown()
     if out:
@@ -365,48 +279,74 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage errors, not 2
         raise ValueError(message)
 
+    def convert_arg_line_to_args(self, line):  # '#' starts a comment line
+        return [] if line.lstrip().startswith("#") else line.split()
+
+
+class _Once(argparse.Action):
+    """Store a flag's value; the flag may be given once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+def _number(convert, low, high=math.inf):
+    """An argparse type: `convert` the text, then require low <= value <=
+    high, which NaN fails."""
+    def parse(text):
+        value = convert(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text} is outside [{low}, "
+                                             f"{high}]")
+        return value
+    parse.__name__ = convert.__name__  # "invalid int value: ..."
+    return parse
+
 
 def _build_parser():
-    parser = _Parser(prog="stokes-bench",
+    parser = _Parser(prog="stokes-bench", fromfile_prefix_chars="@",
+                     allow_abbrev=False,
                      description="Stokes multigrid benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="execute one configuration")
-    run_p.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
-    run_p.add_argument("--family", required=True, choices=FAMILIES)
-    run_p.add_argument("--k", required=True, type=int)
-    run_p.add_argument("--refinements", required=True, type=int)
-    run_p.add_argument("--solver", required=True, choices=list(SOLVER_NAMES))
-    run_p.add_argument("--nv", type=int, default=None)
-    run_p.add_argument("--nup", type=int, default=None)
-    run_p.add_argument("--nuh", type=int, default=None)
-    run_p.add_argument("--rtol", type=float, default=1e-10)
-    run_p.add_argument("--restart", type=int, default=30)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--format", choices=FORMATS, default="markdown")
-    run_p.add_argument("--mesh-dir", default=None)
-
-    sweep_p = sub.add_parser("sweep", help="execute a config-file grid")
-    sweep_p.add_argument("--config", required=True)
+    run_p = sub.add_parser("run", allow_abbrev=False,
+                           help="run every (k, refinements, solver) point")
+    add = functools.partial(run_p.add_argument, action=_Once)
+    add("--problem", required=True, choices=sorted(PROBLEMS))
+    add("--family", required=True, choices=FAMILIES)
+    add("--k", required=True, nargs="+", type=_number(int, 2, 10))
+    add("--refinements", required=True, nargs="+", type=_number(int, 0))
+    add("--solver", required=True, nargs="+", choices=SOLVER_NAMES)
+    add("--reference", choices=SOLVER_NAMES,
+        help="the solver the ratios divide by (default: the first --solver)")
+    add("--nv", type=_number(int, 1))
+    add("--nup", type=_number(int, 1))
+    add("--nuh", type=_number(int, 1))
+    add("--rtol", type=_number(float, 0), default=1e-10)
+    add("--restart", type=_number(int, 1), default=30)
+    add("--out")
+    add("--format", choices=FORMATS, default="markdown")
+    add("--mesh-dir")
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            report = run(args.problem, args.family, args.k, args.refinements,
-                         args.solver, n_V=args.nv, nu_p=args.nup,
-                         nu_h=args.nuh, rtol=args.rtol, restart=args.restart,
-                         mesh_dir=args.mesh_dir)
-            table = ComparisonTable([report], reference=args.solver)
-            _emit(table, args.format, args.out)
-            return 0 if report.converged else 2
-        config = read_sweep_config(args.config)
-        reports = sweep(config)
-        table = ComparisonTable(reports, reference=config["reference"])
-        _emit(table, config["format"], config["out"])
+        args = _build_parser().parse_args(argv)
+        reference = args.reference or args.solver[0]
+        if reference not in args.solver:
+            raise ValueError(f"--reference {reference} is not a --solver")
+        # one solve at a time keeps the timings honest
+        reports = [run(args.problem, args.family, k, refinements, solver,
+                       n_V=args.nv, nu_p=args.nup, nu_h=args.nuh,
+                       rtol=args.rtol, restart=args.restart,
+                       mesh_dir=args.mesh_dir)
+                   for k in args.k for refinements in args.refinements
+                   for solver in args.solver]
+        _emit(ComparisonTable(reports, reference), args.format, args.out)
         return 0 if all(r.converged for r in reports) else 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Benchmark harness tests: report integrity, relative metrics, table
-emission, sweep configs, and CLI exit codes."""
+emission, argument files and grids, and CLI exit codes."""
 
 import csv
 import io
@@ -9,7 +9,8 @@ import pytest
 
 from stokesmg import bench
 from stokesmg.bench import (COLUMNS, ComparisonTable, RunReport,
-                            read_sweep_config, relative_metrics, run, sweep)
+                            relative_metrics, run)
+from stokesmg.problems import DATA_DIR
 from stokesmg.timing import Timings
 
 
@@ -193,128 +194,165 @@ class TestComparisonTable:
         assert lines[0].startswith("| problem")
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """A counting stand-in for `bench.run`: the points it was asked for."""
+    calls = []
+
+    def fake_run(problem, family, k, refinements, solver, **kwargs):
+        calls.append((k, refinements, solver))
+        return synthetic_report(solver=solver, k=k, refinements=refinements)
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    return calls
+
+
 class TestSweepConfig:
+    """Grids read from argument files (``stokes-bench run @FILE``): each
+    key of a grid is a flag, and a line holds a flag and its values."""
+
     def write(self, tmp_path, text):
-        path = tmp_path / "sweep.cfg"
+        path = tmp_path / "sweep.args"
         path.write_text(text)
         return str(path)
+
+    def grid(self, **values):
+        flags = dict(problem="ldc2d", family="th", k="3", refinements="1",
+                     solver="hmg")
+        flags.update(values)
+        return "".join(f"--{flag} {value}\n" for flag, value in flags.items())
+
+    def rejects(self, tmp_path, capsys, runs, text, message):
+        """`run @FILE` exits 1 with `message` before any point runs."""
+        path = self.write(tmp_path, text)
+        assert bench.main(["run", "@" + path]) == 1
+        err = capsys.readouterr().err
+        assert message in err, err
+        assert runs == []
 
     def test_parse(self, tmp_path):
         path = self.write(tmp_path, """
             # benchmark grid
-            problem = ldc2d
-            family = sv
-            k = 3 4
-            refinements = 1 2
-            solvers = hmg phmg-direct phmg-gradual
-            reference = hmg
-            rtol = 1e-8
-            nuh = 3
-            format = csv
+            --problem ldc2d
+            --family sv
+            --k 3 4
+            --refinements 1 2
+            --solver hmg phmg-direct phmg-gradual
+            --reference hmg
+            --rtol 1e-8
+            --nuh 3
+            --format csv
         """)
-        cfg = read_sweep_config(path)
-        assert cfg["problem"] == "ldc2d"
-        assert cfg["family"] == "sv"
-        assert cfg["k"] == [3, 4]
-        assert cfg["refinements"] == [1, 2]
-        assert cfg["solvers"] == ["hmg", "phmg-direct", "phmg-gradual"]
-        assert cfg["reference"] == "hmg"
-        assert cfg["rtol"] == 1e-8
-        assert cfg["nu_h"] == 3 and cfg["nu_p"] is None
-        assert cfg["format"] == "csv" and cfg["out"] is None
+        args = bench._build_parser().parse_args(["run", "@" + path])
+        assert args.problem == "ldc2d"
+        assert args.family == "sv"
+        assert args.k == [3, 4]
+        assert args.refinements == [1, 2]
+        assert args.solver == ["hmg", "phmg-direct", "phmg-gradual"]
+        assert args.reference == "hmg"
+        assert args.rtol == 1e-8 and args.restart == 30
+        assert args.nuh == 3 and args.nup is None
+        assert args.format == "csv" and args.out is None
 
-    def test_missing_keys(self, tmp_path):
-        path = self.write(tmp_path, "problem = ldc2d\n")
-        with pytest.raises(ValueError, match="missing"):
-            read_sweep_config(path)
+    def test_missing_keys(self, tmp_path, capsys, runs):
+        self.rejects(tmp_path, capsys, runs, "--problem ldc2d\n",
+                     "the following arguments are required: --family, --k, "
+                     "--refinements, --solver")
 
-    def test_empty_grid(self, tmp_path):
-        path = self.write(tmp_path, """
-            problem = ldc2d
-            family = th
-            k =
-            refinements = 1
-            solvers = hmg
-            reference = hmg
-        """)
-        with pytest.raises(ValueError, match="empty"):
-            read_sweep_config(path)
+    def test_empty_grid(self, tmp_path, capsys, runs):
+        self.rejects(tmp_path, capsys, runs, self.grid(k=""),
+                     "argument --k: expected at least one argument")
 
-    def test_reference_must_be_swept(self, tmp_path):
-        path = self.write(tmp_path, """
-            problem = ldc2d
-            family = th
-            k = 3
-            refinements = 1
-            solvers = phmg-direct
-            reference = hmg
-        """)
-        with pytest.raises(ValueError, match="reference"):
-            read_sweep_config(path)
-
-    def grid(self, **values):
-        keys = dict(problem="ldc2d", family="th", k="3", refinements="1",
-                    solvers="hmg", reference="hmg")
-        keys.update(values)
-        return "".join(f"{key} = {value}\n" for key, value in keys.items())
+    def test_reference_must_be_swept(self, tmp_path, capsys, runs):
+        self.rejects(tmp_path, capsys, runs,
+                     self.grid(solver="phmg-direct", reference="hmg"),
+                     "--reference hmg is not a --solver")
 
     @pytest.mark.parametrize("extra,message", [
-        ("restrat = 5", "unknown key 'restrat'"),
-        ("format = CSV", "unknown format 'CSV'"),
-        ("rtol = 1e-8\nrtol = 1e-6", "key 'rtol' given twice"),
-    ], ids=["misspelt-key", "upper-case-format", "repeated-key"])
-    def test_rejects_bad_keys_and_values(self, tmp_path, extra, message):
-        # each of these used to parse: the misspelt restart and the first
-        # rtol were dropped, and CSV gave markdown output
-        path = self.write(tmp_path, self.grid() + extra + "\n")
-        with pytest.raises(ValueError, match=message):
-            read_sweep_config(path)
+        ("--restrat 5", "unrecognized arguments: --restrat 5"),
+        ("--format CSV", "argument --format: invalid choice: 'CSV'"),
+        ("--rtol 1e-8\n--rtol 1e-6", "--rtol given twice"),
+        ("--k 4", "--k given twice"),
+        ("--ref hmg", "unrecognized arguments: --ref hmg"),
+    ], ids=["misspelt-key", "upper-case-format", "repeated-key",
+            "repeated-list", "abbreviated-key"])
+    def test_rejects_bad_keys_and_values(self, tmp_path, capsys, runs, extra,
+                                         message):
+        # a misspelt or abbreviated flag is not guessed, and a repeated
+        # one does not override the first
+        self.rejects(tmp_path, capsys, runs, self.grid() + extra + "\n",
+                     message)
 
-    @pytest.mark.parametrize("key,value", [
-        ("problem", "cavity"), ("family", "rt"), ("solvers", "hmg amg")])
-    def test_rejects_unknown_names_before_any_solve(self, tmp_path,
-                                                    monkeypatch, key, value):
-        runs = []
+    @pytest.mark.parametrize("flag,value", [
+        ("problem", "cavity"), ("family", "rt"), ("solver", "hmg amg"),
+        ("reference", "amg")],
+        ids=["problem-cavity", "family-rt", "solvers-hmg amg",
+             "reference-amg"])
+    def test_rejects_unknown_names_before_any_solve(self, tmp_path, capsys,
+                                                    runs, flag, value):
+        self.rejects(tmp_path, capsys, runs, self.grid(**{flag: value}),
+                     f"argument --{flag}: invalid choice: ")
 
-        def fake_run(*args, **kwargs):
-            runs.append(args)
-            return synthetic_report()
+    def test_malformed_line(self, tmp_path, capsys, runs):
+        # (after a list flag, the words would join its list, where they are
+        # checked as its values)
+        self.rejects(tmp_path, capsys, runs,
+                     "problem ldc2d\n" + self.grid(),
+                     "unrecognized arguments: problem ldc2d")
 
-        monkeypatch.setattr(bench, "run", fake_run)
-        path = self.write(tmp_path, self.grid(**{key: value}))
-        assert bench.main(["sweep", "--config", path]) == 1
-        assert runs == []
-
-    def test_malformed_line(self, tmp_path):
-        path = self.write(tmp_path, "problem ldc2d\n")
-        with pytest.raises(ValueError, match="key = value"):
-            read_sweep_config(path)
-
-    @pytest.mark.parametrize("key,value", [
-        ("k", "3,4"), ("refinements", "1 two"), ("rtol", "1e-8 1e-6"),
-        ("restart", "30.5"), ("nv", ""), ("nup", "x"), ("nuh", "2x")])
+    @pytest.mark.parametrize("key,value,message", [
+        ("k", "3,4", "argument --k: invalid int value: '3,4'"),
+        ("refinements", "1 two",
+         "argument --refinements: invalid int value: 'two'"),
+        ("rtol", "1e-8 1e-6", "unrecognized arguments: 1e-6"),
+        ("restart", "30.5", "argument --restart: invalid int value: '30.5'"),
+        ("nv", "", "argument --nv: expected one argument"),
+        ("nup", "x", "argument --nup: invalid int value: 'x'"),
+        ("nuh", "2x", "argument --nuh: invalid int value: '2x'"),
+    ], ids=["k-3,4", "refinements-1 two", "rtol-1e-8 1e-6", "restart-30.5",
+            "nv-", "nup-x", "nuh-2x"])
     def test_malformed_number_names_file_and_key(self, tmp_path, capsys,
-                                                 key, value):
-        # bare int()/float() used to print e.g. "invalid literal for int()
-        # with base 10: '3,4'", with neither the file nor the key
-        path = self.write(tmp_path, self.grid(**{key: value}))
-        assert bench.main(["sweep", "--config", path]) == 1
-        err = capsys.readouterr().err
-        assert f"{path}: key {key!r} has a malformed number" in err
+                                                 runs, key, value, message):
+        # the key is named as its flag; an argument file's path is not
+        # named, since the parser reads the file's lines as arguments (a
+        # second number after a one-number flag is a stray argument)
+        self.rejects(tmp_path, capsys, runs, self.grid(**{key: value}),
+                     message)
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", "4 11"), ("k", "1"), ("refinements", "-1"), ("nv", "0"),
+        ("nup", "0"), ("nuh", "0"), ("restart", "0"), ("rtol", "-0.5"),
+        ("rtol", "nan")])
+    def test_out_of_range_number_fails_before_any_solve(
+            self, tmp_path, capsys, runs, key, value):
+        # no point runs, not even the k = 4 points before a bad k = 11, and
+        # no solver is built for FGMRES to refuse restart = 0
+        self.rejects(tmp_path, capsys, runs, self.grid(**{key: value}),
+                     f"argument --{key}: {value.split()[-1]} is outside [")
+
+    def test_grid_runs_k_then_refinements_then_solver(self, tmp_path, runs):
+        out = tmp_path / "grid.csv"
+        path = self.write(tmp_path, self.grid(
+            k="3 4", refinements="1 2", solver="hmg phmg-direct",
+            format="csv", out=out))
+        assert bench.main(["run", "@" + path]) == 0
+        assert runs == [(k, r, s) for k in (3, 4) for r in (1, 2)
+                        for s in ("hmg", "phmg-direct")]
+        rows = list(csv.DictReader(out.open()))
+        assert [(int(row["k"]), int(row["refinements"]), row["solver"])
+                for row in rows] == runs
 
     def test_sweep_runs_grid(self, tmp_path):
-        path = self.write(tmp_path, """
-            problem = ldc2d
-            family = th
-            k = 3
-            refinements = 1
-            solvers = hmg phmg-direct
-            reference = hmg
-        """)
-        reports = sweep(read_sweep_config(path))
-        assert [r.solver for r in reports] == ["hmg", "phmg-direct"]
-        assert all(r.converged for r in reports)
-        assert reports[0].dofs == reports[1].dofs
+        out = tmp_path / "grid.csv"
+        path = self.write(tmp_path, self.grid(
+            solver="hmg phmg-direct", reference="hmg", format="csv",
+            out=out))
+        assert bench.main(["run", "@" + path]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["solver"] for row in rows] == ["hmg", "phmg-direct"]
+        assert all(row["converged"] == "True" for row in rows)
+        assert rows[0]["dofs"] == rows[1]["dofs"]
+        assert rows[0]["r_total"] == "1.000"
 
 
 class TestCLI:
@@ -332,21 +370,34 @@ class TestCLI:
                 rows[0]["r_solve"]) == ("1.000", "1.000", "1.000")
 
     def test_sweep_cli(self, tmp_path):
-        cfg = tmp_path / "grid.cfg"
+        args = tmp_path / "grid.args"
         out = tmp_path / "grid.csv"
-        cfg.write_text(f"""
-            problem = manufactured
-            family = th
-            k = 2
-            refinements = 1
-            solvers = hmg
-            reference = hmg
-            format = csv
-            out = {out}
+        args.write_text("""
+            --problem manufactured
+            --family th
+            --k 2
+            --refinements 1
+            --solver hmg
+            --reference hmg
+            --format csv
         """)
-        code = bench.main(["sweep", "--config", str(cfg)])
+        code = bench.main(["run", f"@{args}", "--out", str(out)])
         assert code == 0
         assert "hmg" in out.read_text()
+
+    def test_missing_argument_file_exits_one(self, tmp_path, capsys):
+        assert bench.main(["run", f"@{tmp_path / 'none.args'}"]) == 1
+        assert "No such file" in capsys.readouterr().err
+
+    def test_reference_defaults_to_the_first_solver(self, tmp_path, runs):
+        out = tmp_path / "t.csv"
+        assert bench.main(["run", "--problem", "ldc2d", "--family", "th",
+                           "--k", "3", "--refinements", "1", "--solver",
+                           "phmg-direct", "hmg", "--format", "csv", "--out",
+                           str(out)]) == 0
+        rows = {row["solver"]: row for row in csv.DictReader(out.open())}
+        assert rows["phmg-direct"]["r_total"] == "1.000"
+        assert rows["hmg"]["r_total"] != ""
 
     def test_usage_error_exits_one(self, capsys):
         code = bench.main(["run", "--problem", "ldc2d"])
@@ -366,7 +417,22 @@ class TestCLI:
                            "th", "--k", "2", "--refinements", "1",
                            "--solver", "hmg", "--restart", "0"])
         assert code == 1
-        assert "restart must be >= 1" in capsys.readouterr().err
+        assert ("argument --restart: 0 is outside [1, inf]"
+                in capsys.readouterr().err)
+
+    def test_mesh_dir_only_where_a_mesh_file_is_read(self, capsys):
+        # a mesh directory that no mesh file is read from is an error, not
+        # dropped without a word
+        code = bench.main(["run", "--problem", "manufactured", "--family",
+                           "th", "--k", "2", "--refinements", "1",
+                           "--solver", "hmg", "--mesh-dir", DATA_DIR])
+        assert code == 1
+        assert ("problem 'manufactured' reads no mesh file"
+                in capsys.readouterr().err)
+        with pytest.raises(ValueError, match="'ldc2d' reads no mesh file"):
+            bench.make_problem("ldc2d", 0, 2, "th", mesh_dir=DATA_DIR)
+        bfs = bench.make_problem("bfs2d", 0, 2, "th", mesh_dir=DATA_DIR)
+        assert bfs.base_mesh.num_cells > 0
 
     def test_nonconverged_exits_two(self, monkeypatch, tmp_path):
         stalled = synthetic_report(converged=False)

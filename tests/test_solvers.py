@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dense_oracles import (dense_asm, dense_cycle_matrix, dense_fbf,
 from stokesmg import solvers
 from stokesmg.assembly import (SaddleSystem, assemble_pressure_mass,
                                assemble_stokes)
-from stokesmg.linalg import CHEBYSHEV_UPPER
+from stokesmg.linalg import CHEBYSHEV_UPPER, sparse_lu
 from stokesmg.problems import (backward_facing_step, lid_driven_cavity,
                                manufactured)
 from stokesmg.relaxation import PatchSet
@@ -250,6 +251,51 @@ def test_hierarchy_keeps_only_the_finest_saddle_system(solver):
     for level in h.levels:
         assert not any(isinstance(value, SaddleSystem)
                        for value in vars(level).values())
+
+
+class TestHierarchyGuards:
+    """`MGHierarchy` refuses levels that do not chain into a V-cycle; each
+    bad hierarchy is rebuilt from the levels of a small built one (p3, p2,
+    then the coarsest h2)."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return build_hierarchy(lid_driven_cavity(1, 3), 1, "phmg-direct")
+
+    def rebuild(self, built, levels, coarse=None):
+        return MGHierarchy(levels, built.coarse if coarse is None else coarse,
+                           built.pinned_dof, built.n_V, built.system)
+
+    def test_own_levels_pass(self, built):
+        assert [level.kind for level in built.levels] == ["p", "p", "h"]
+        again = self.rebuild(built, built.levels)
+        assert again.levels == built.levels and again.coarse is built.coarse
+
+    @pytest.mark.parametrize("bad,message", [
+        (lambda l0, l1, l2: [], "at least one level"),
+        (lambda l0, l1, l2: [l0, l1, replace(l2, patches=l0.patches)],
+         "patches belong to every level except the coarsest"),
+        (lambda l0, l1, l2: [replace(l0, patches=None), l1, l2],
+         "patches belong to every level except the coarsest"),
+        (lambda l0, l1, l2: [replace(l0, P=None), l1, l2],
+         "needs a prolongation from below"),
+        (lambda l0, l1, l2: [l0, l1, replace(l2, P=l1.P)],
+         "needs a prolongation from below"),
+        (lambda l0, l1, l2: [replace(l0, P=l1.P), l1, l2],
+         r"level 0 prolongation shape \(659, 187\) != \(1539, 659\)"),
+        (lambda l0, l1, l2: [replace(l0, kind="h"), l1, l2],
+         "p-levels must precede h-levels"),
+    ], ids=["no-levels", "patches-on-coarsest", "no-patches-above",
+            "no-P-above", "P-on-coarsest", "P-shape", "p-after-h"])
+    def test_rejects_levels(self, built, bad, message):
+        with pytest.raises(ValueError, match=message):
+            self.rebuild(built, bad(*built.levels))
+
+    def test_rejects_coarse_factor_of_another_size(self, built):
+        coarse = sparse_lu(sp.identity(built.levels[-1].n + 1, format="csc"))
+        with pytest.raises(ValueError, match="coarse factorization does not "
+                                             "match the coarsest operator"):
+            self.rebuild(built, built.levels, coarse)
 
 
 class TestColumnBlocks:

@@ -6,10 +6,13 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
+import shlex
+
+import pytest
 
 import stokesmg
-from stokesmg import relaxation, solvers
-from stokesmg.bench import read_sweep_config
+from stokesmg import bench, relaxation, solvers
 from stokesmg.mesh import save_mesh
 from stokesmg.problems import DATA_DIR, lid_driven_cavity
 
@@ -67,6 +70,20 @@ def test_setup_peaks_reports_every_level_and_restores_solvers(capsys):
     assert solvers.factor_patches is relaxation.factor_patches
 
 
+@pytest.mark.parametrize("flag,values", [
+    ("--k", ["3", "4"]), ("--refinements", ["0", "1"]),
+    ("--solver", ["hmg", "phmg-direct"])])
+def test_setup_peaks_measures_one_point(capsys, flag, values):
+    tool = load_tool("setup_peaks")
+    point = {"--problem": ["ldc2d"], "--family": ["th"], "--k": ["3"],
+             "--refinements": ["1"], "--solver": ["hmg"], flag: values}
+    assert tool.main([a for f, v in point.items() for a in (f, *v)]) == 1
+    assert f"error: {flag} takes one value here" in capsys.readouterr().err
+    args = tool.parse(["--problem", "ldc2d", "--family", "th", "--k", "3",
+                       "--refinements", "1", "--solver", "hmg"])
+    assert (args.k, args.refinements, args.solver) == (3, 1, "hmg")
+
+
 def test_tracer_spans_every_level_of_the_fbf_path():
     # the benchmark's per-layer metrics map spans to levels by dimension;
     # the FBF workloads build velocity-only levels, which the tiny
@@ -100,15 +117,16 @@ def test_exported_names_resolve():
 
 
 def test_checked_in_sweep_configs_parse():
-    # The configs that regenerate the README's paper-claims table; they are
-    # parsed here, not run.
-    paths = sorted(glob.glob(os.path.join(TOOLS, "sweeps", "*.cfg")))
+    # The argument files that regenerate the README's paper-claims table;
+    # they are parsed here, not run.
+    paths = sorted(glob.glob(os.path.join(TOOLS, "sweeps", "*.args")))
     grid = set()
     for path in paths:
-        config = read_sweep_config(path)
-        grid |= {(config["problem"], config["family"], k, r, solver)
-                 for k in config["k"] for r in config["refinements"]
-                 for solver in config["solvers"]}
+        args = bench._build_parser().parse_args(["run", "@" + path])
+        assert args.reference in args.solver and args.format == "markdown"
+        grid |= {(args.problem, args.family, k, r, solver)
+                 for k in args.k for r in args.refinements
+                 for solver in args.solver}
     claims = [("ldc2d", "th", k, 2, s) for k in (4, 7)
               for s in ("hmg", "phmg-direct")]
     claims += [("bfs2d", "th", k, 1, s) for k in (4, 7)
@@ -119,3 +137,18 @@ def test_checked_in_sweep_configs_parse():
                for p, r in (("ldc2d", 2), ("bfs2d", 1))]
     assert len(paths) == 4
     assert set(claims) <= grid
+
+
+def test_readme_commands_parse(monkeypatch):
+    # every stokes-bench command line in the README's code blocks parses
+    # (run from the repository root, where its @FILE paths point); none
+    # is run
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = [shlex.split(line) for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("stokes-bench ")]
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        bench._build_parser().parse_args(argv[1:])
+    assert len(commands) >= 6

@@ -1,13 +1,15 @@
 """Traced memory of every setup call, level by level, and of the solve.
 
-Takes the options of ``stokes-bench run``:
+Takes the options of ``stokes-bench run``, argument files included, for
+one point:
 
     python tools/setup_peaks.py --problem ldc2d --family sv --k 4 \\
         --refinements 2 --solver phmg-direct
 
-(``--out`` and ``--format`` are accepted and ignored: the tables go to
-standard output), builds the solver once under ``tracemalloc`` and solves
-once. A level table comes first: each level's kind, degree, DoFs,
+(``--k``, ``--refinements`` and ``--solver`` take one value each here;
+``--reference``, ``--out`` and ``--format`` are accepted and ignored: the
+tables go to standard output), builds the solver once under ``tracemalloc``
+and solves once. A level table comes first: each level's kind, degree, DoFs,
 patches, distinct inverses and the MB its smoother stores, from
 ``level_summary()``, so stored bytes sit beside traced ones. Each setup
 call that ``stokesmg.solvers`` makes (assembly, patches, factor, the λ̂
@@ -99,10 +101,8 @@ def run(args):
             return out
         return measured
 
-    extra = {"mesh_dir": args.mesh_dir} if (
-        args.problem == "bfs2d" and args.mesh_dir) else {}
-    instance = bench.PROBLEMS[args.problem](args.refinements, args.k,
-                                            family=args.family, **extra)
+    instance = bench.make_problem(args.problem, args.refinements, args.k,
+                                  args.family, args.mesh_dir)
     tracemalloc.start()
     try:
         for name, label, dimension in CALLS:
@@ -139,9 +139,24 @@ def table(rows, levels):
     return sorted(groups.items(), key=lambda item: rank.index(item[0][0]))
 
 
+def parse(argv):
+    """`stokes-bench run`'s options, with one value each of ``--k``,
+    ``--refinements`` and ``--solver``."""
+    args = bench._build_parser().parse_args(["run"] + list(argv))
+    for flag in ("k", "refinements", "solver"):
+        value, *more = getattr(args, flag)
+        if more:
+            raise ValueError(f"--{flag} takes one value here")
+        setattr(args, flag, value)
+    return args
+
+
 def main(argv=None):
-    args = bench._build_parser().parse_args(
-        ["run"] + list(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows, summary, totals, report = run(args)
     levels = [row[4] for row in summary]
     print(f"{args.problem} {args.family} k{args.k} r{args.refinements} "
